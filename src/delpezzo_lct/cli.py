@@ -34,6 +34,22 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _corollary(seed: int, cases: int) -> Report:
+    results = glct.verify_corollary().results + glct.verify_complementary_sections().results
+    return Report("corollary", results)
+
+
+# Every suite `verify --suite` runs, in `--suite all` order: name -> runner(seed, cases).
+SUITES = {
+    "table1": lambda seed, cases: glct.verify_table1(),
+    "lines": lambda seed, cases: glct.verify_lines(),
+    "lemmaG": lambda seed, cases: glct.verify_lemma_G_all(),
+    "lemmaH": lambda seed, cases: glct.verify_lemma_H_all(),
+    "corollary": _corollary,
+    "properties": properties.run_property_suites,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dplct",
@@ -57,11 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lct.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "--suite",
-        required=True,
-        choices=["table1", "lines", "lemmaG", "lemmaH", "corollary", "properties"],
-    )
+    p_verify.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=int, default=1000)
     p_verify.add_argument("--json", action="store_true")
@@ -143,28 +155,15 @@ def _cmd_lct(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(args) -> Report:
-    if args.suite == "table1":
-        return glct.verify_table1()
-    if args.suite == "lines":
-        return glct.verify_lines()
-    if args.suite == "lemmaG":
-        return glct.verify_lemma_G_all()
-    if args.suite == "lemmaH":
-        return glct.verify_lemma_H_all()
-    if args.suite == "corollary":
-        results = glct.verify_corollary().results + glct.verify_complementary_sections().results
-        return Report("corollary", results)
-    return properties.run_property_suites(args.seed, args.cases)
-
-
 def _cmd_verify(args) -> int:
-    report = _run_suite(args)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    reports = [SUITES[name](args.seed, args.cases) for name in names]
     if args.json:
-        print(_dump_json(report.to_json_obj()))
+        objs = [r.to_json_obj() for r in reports]
+        print(_dump_json(objs if args.suite == "all" else objs[0]))
     else:
-        print(report.to_text())
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
+        print("\n\n".join(r.to_text() for r in reports))
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_NEGATIVE
 
 
 def main(argv=None) -> int:

@@ -480,10 +480,7 @@ class DivisorConfiguration:
 
     def total_class(self) -> DivisorClass:
         """sum d_i * class_i; exact only when every d_i is an integer."""
-        coeffs = [Fraction(0)] * self.surface.rank
-        for comp in self.components:
-            for i, c in enumerate(comp.cls.coeffs):
-                coeffs[i] += comp.coeff * c
+        coeffs = self.total_class_fractions()
         if any(c.denominator != 1 for c in coeffs):
             raise ClusterError("total class has non-integer coefficients")
         return DivisorClass(self.surface, tuple(int(c) for c in coeffs))
@@ -688,12 +685,7 @@ def with_coefficients(
     )
 
 
-def _subtree_point(
-    cluster: WeightedCluster,
-    child_id: str,
-    exc_id: str,
-    coefficients: Mapping[str, Fraction],
-) -> ConfigPoint:
+def _subtree_point(cluster: WeightedCluster, child_id: str, exc_id: str) -> ConfigPoint:
     """The marked point on E under the direction ``child_id`` of the root."""
     root_id = cluster.root.id
     keep = {child_id}
@@ -757,7 +749,7 @@ def transform_by_blowup(cfg: DivisorConfiguration, point_id: str) -> DivisorConf
         # Same germ, untouched cluster: rebuild against the new classes.
         new_points.append(p)
     for child in cluster.children(root.id):
-        new_points.append(_subtree_point(cluster, child.id, exc_id, cfg.coefficients))
+        new_points.append(_subtree_point(cluster, child.id, exc_id))
     for comp_id in cluster.component_ids:
         for n in range(cluster.root_slack(comp_id)):
             new_points.append(

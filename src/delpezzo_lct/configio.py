@@ -82,8 +82,13 @@ def germ_to_string(germ: Germ) -> str:
     return germ.kind
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: ``true``/``false`` parse to bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _expect(obj, typ, path: str):
-    if not isinstance(obj, typ):
+    if not (_is_int(obj) if typ is int else isinstance(obj, typ)):
         want = typ.__name__ if isinstance(typ, type) else "/".join(t.__name__ for t in typ)
         raise ConfigSchemaError(path, f"expected {want}, got {type(obj).__name__}")
     return obj
@@ -126,7 +131,7 @@ def config_from_json_obj(obj: dict) -> DivisorConfiguration:
         _expect(c, dict, cpath)
         cid = _expect(c.get("id"), str, f"{cpath}.id")
         cls_raw = _expect(c.get("class"), list, f"{cpath}.class")
-        if not all(isinstance(x, int) for x in cls_raw):
+        if not all(_is_int(x) for x in cls_raw):
             raise ConfigSchemaError(f"{cpath}.class", "entries must be integers")
         coeff_raw = c.get("coeff", "1")
         _expect(coeff_raw, str, f"{cpath}.coeff")

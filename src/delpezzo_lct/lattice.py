@@ -175,10 +175,6 @@ def arithmetic_genus(c: DivisorClass) -> Fraction:
     return c.genus
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def _vectors_with_sum_and_square(r: int, total: int, square: int) -> list[tuple[int, ...]]:
     """All integer vectors of length r with given sum and sum of squares.
 
@@ -230,8 +226,8 @@ def _blowup_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[Divi
     if disc < 0:
         return []
     sq = isqrt(disc)
-    lo = _floor_div(6 * deg - sq, 2 * d) - 1
-    hi = _floor_div(6 * deg + sq, 2 * d) + 2
+    lo = (6 * deg - sq) // (2 * d) - 1
+    hi = (6 * deg + sq) // (2 * d) + 2
     found = []
     for a in range(lo, hi + 1):
         if d * a * a - 6 * deg * a + (deg * deg + r * self_int) > 0:
@@ -336,24 +332,12 @@ class LatticeIsometry:
 
     @classmethod
     def identity(cls, surface: SurfaceModel) -> "LatticeIsometry":
-        n = surface.rank
-        return cls(surface, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls(surface, _word_matrix(surface, ()))
 
     @classmethod
-    def permutation(cls, surface: SurfaceModel, mapping: dict[int, int]) -> "LatticeIsometry":
-        """Permutation of the exceptional basis vectors E_i (1-based indices)."""
-        if surface.basis_kind != BLOWUP:
-            raise LatticeError("permutations act on blow-up bases only")
-        n = surface.rank
-        perm = list(range(n))
-        for src, dst in mapping.items():
-            perm[src] = dst
-        cols = []
-        for j in range(n):
-            col = [0] * n
-            col[perm[j]] = 1
-            cols.append(col)
-        return cls(surface, tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    def reflection(cls, surface: SurfaceModel, root: Sequence[int]) -> "LatticeIsometry":
+        """Reflection c -> c + (c.v) v in a (-2)-root v orthogonal to K."""
+        return cls(surface, _word_matrix(surface, (DivisorClass(surface, root).coeffs,)))
 
     @classmethod
     def cremona(cls, surface: SurfaceModel, i: int, j: int, k: int) -> "LatticeIsometry":
@@ -363,32 +347,58 @@ class LatticeIsometry:
         n = surface.rank
         if len({i, j, k}) != 3 or not all(1 <= t <= n - 1 for t in (i, j, k)):
             raise LatticeError("Cremona indices must be three distinct E-indices")
-        v = [0] * n
-        v[0] = 1
-        v[i] = v[j] = v[k] = -1
-        cols = []
-        for b in range(n):
-            e = [0] * n
-            e[b] = 1
-            pairing = surface.pairing(e, v)
-            cols.append([e[t] + pairing * v[t] for t in range(n)])
-        return cls(surface, tuple(tuple(cols[j2][i2] for j2 in range(n)) for i2 in range(n)))
+        return cls.reflection(surface, _cremona_root(n, i, j, k))
+
+
+def _cremona_root(n: int, i: int, j: int, k: int) -> tuple[int, ...]:
+    """H - E_i - E_j - E_k in a blow-up basis of rank n."""
+    v = [0] * n
+    v[0] = 1
+    v[i] = v[j] = v[k] = -1
+    return tuple(v)
+
+
+def _reflect(surface: SurfaceModel, c: tuple[int, ...], root: tuple[int, ...]) -> tuple[int, ...]:
+    """c + (c.v) v for a (-2)-root v: one pairing, O(rank)."""
+    t = surface.pairing(c, root)
+    return tuple(x + t * y for x, y in zip(c, root)) if t else c
+
+
+def _word_matrix(surface: SurfaceModel, word) -> tuple[tuple[int, ...], ...]:
+    """Matrix of the reflections in ``word``, the first one applied first."""
+    n = surface.rank
+    cols = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for root in word:
+        cols = [_reflect(surface, col, root) for col in cols]
+    return tuple(zip(*cols))
 
 
 @lru_cache(maxsize=None)
-def _isometry_generators(surface: SurfaceModel) -> tuple[LatticeIsometry, ...]:
-    """Transpositions of E-indices plus all Cremona reflections.
+def _generator_roots(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
+    """The (-2)-roots E_a - E_b, then H - E_a - E_b - E_c, in combinations order.
 
-    These generate every form-preserving, K-fixing isometry of the blow-up
-    lattice (the Weyl group of the orthogonal complement of K).
+    Reflections in these generate every form-preserving, K-fixing isometry
+    of the blow-up lattice (the Weyl group of the orthogonal complement of K).
     """
-    r = surface.rank - 1
-    gens = []
-    for a, b in itertools.combinations(range(1, r + 1), 2):
-        gens.append(LatticeIsometry.permutation(surface, {a: b, b: a}))
-    for a, b, c in itertools.combinations(range(1, r + 1), 3):
-        gens.append(LatticeIsometry.cremona(surface, a, b, c))
-    return tuple(gens)
+    n = surface.rank
+    roots = []
+    for a, b in itertools.combinations(range(1, n), 2):
+        v = [0] * n
+        v[a], v[b] = 1, -1
+        roots.append(tuple(v))
+    for a, b, c in itertools.combinations(range(1, n), 3):
+        roots.append(_cremona_root(n, a, b, c))
+    return tuple(roots)
+
+
+def _word(parents: dict, state) -> list[int]:
+    """Root indices leading from the search start to ``state``."""
+    word = []
+    while parents[state] is not None:
+        state, index = parents[state]
+        word.append(index)
+    word.reverse()
+    return word
 
 
 def find_model_isometry(
@@ -398,10 +408,12 @@ def find_model_isometry(
 ) -> LatticeIsometry:
     """A K-fixing lattice isometry sending each source class to its target.
 
-    Searches the orbit of the source tuple under the generator set
-    breadth-first, so the returned word is shortest.  Raises LatticeError
-    when the pairing invariants already rule an isometry out or when the
-    (finite) orbit is exhausted without a hit.
+    Searches the orbit of the source tuple under the root reflections
+    breadth-first, so the returned word is shortest; only the goal's word
+    is turned into a matrix.  Raises LatticeError when the pairing
+    invariants already rule an isometry out, when the (finite) orbit is
+    exhausted without a hit, or when more than ``max_states`` states are
+    explored.
     """
     if surface.basis_kind != BLOWUP:
         raise LatticeError("model isometries are only defined for blow-up bases")
@@ -421,27 +433,30 @@ def find_model_isometry(
         if s.degree != g.degree:
             raise LatticeError("no isometry exists: anticanonical degree is an invariant")
 
-    identity = LatticeIsometry.identity(surface)
     start = tuple(c.coeffs for c in sources)
     goal = tuple(c.coeffs for c in goals)
     if start == goal:
-        return identity
-    gens = _isometry_generators(surface)
-    seen = {start}
-    queue = deque([(start, identity)])
+        return LatticeIsometry.identity(surface)
+    roots = _generator_roots(surface)
+    parents: dict = {start: None}  # state -> (parent state, root index)
+    queue = deque([start])
     while queue:
-        state, iso = queue.popleft()
-        for g in gens:
-            new_state = tuple(_matvec(g.matrix, vec) for vec in state)
-            if new_state in seen:
+        state = queue.popleft()
+        for index, root in enumerate(roots):
+            new_state = tuple(_reflect(surface, vec, root) for vec in state)
+            if new_state in parents:
                 continue
-            new_iso = g.compose(iso)
             if new_state == goal:
-                return new_iso
-            seen.add(new_state)
-            queue.append((new_state, new_iso))
-            if len(seen) > max_states:
-                raise LatticeError("isometry search exceeded the state budget")
+                word = _word(parents, state) + [index]
+                return LatticeIsometry(surface, _word_matrix(surface, (roots[i] for i in word)))
+            parents[new_state] = (state, index)
+            queue.append(new_state)
+            if len(parents) > max_states:
+                raise LatticeError(
+                    f"isometry search exceeded max_states={max_states}: "
+                    f"{len(parents)} states explored, BFS depth "
+                    f"{len(_word(parents, new_state))} reached"
+                )
     raise LatticeError("no isometry maps the given sources to the given targets")
 
 

@@ -184,6 +184,32 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_all_suites_in_registry_order(self, capsys):
+        names = ["table1", "lines", "lemmaG", "lemmaH", "corollary", "properties"]
+        texts, objs = [], []
+        for name in names:
+            assert main(["verify", "--suite", name, "--cases", "20"]) == 0
+            texts.append(capsys.readouterr().out)
+            assert main(["verify", "--suite", name, "--cases", "20", "--json"]) == 0
+            objs.append(json.loads(capsys.readouterr().out))
+        assert main(["verify", "--suite", "all", "--cases", "20"]) == 0
+        assert capsys.readouterr().out == "\n".join(texts)
+        assert main(["verify", "--suite", "all", "--cases", "20", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == objs
+
+    def test_all_exits_1_when_one_suite_fails(self, monkeypatch, capsys):
+        from delpezzo_lct import cli
+        from delpezzo_lct.report import CheckResult, Report
+
+        failing = Report("broken", (CheckResult("broken.check", "1", "0", False),))
+        monkeypatch.setattr(cli, "SUITES", {
+            "table1": cli.SUITES["table1"],
+            "broken": lambda seed, cases: failing,
+        })
+        assert main(["verify", "--suite", "all"]) == 1
+        out = capsys.readouterr().out
+        assert "suite table1: 8/8 checks passed\n\nFAIL broken.check" in out
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])

@@ -56,6 +56,36 @@ def test_schema_errors_carry_paths(mutate, path_fragment):
     assert path_fragment in str(exc.value)
 
 
+def _cluster_point(mult):
+    return {
+        "id": "p",
+        "germ": {
+            "nodes": [{"id": "n0", "parent": None, "proximate_to": [], "mults": {"C": mult}}]
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "mutate,path_fragment",
+    [
+        (lambda o: o["surface"].update(degree=True), "$.surface.degree"),
+        (lambda o: o["components"][0].update({"class": [True]}), "$.components[0].class"),
+        (lambda o: o.update(points=[_cluster_point(True)]), "$.points[0].germ.nodes[0].mults.C"),
+        (
+            lambda o: o["points"][0]["incident"][0].update(branch=False),
+            "$.points[0].incident[0].branch",
+        ),
+    ],
+    ids=["degree", "class", "mults", "branch"],
+)
+def test_json_booleans_are_not_integers(mutate, path_fragment):
+    obj = minimal_obj()
+    mutate(obj)
+    with pytest.raises(ConfigSchemaError) as exc:
+        config_from_json_obj(obj)
+    assert path_fragment in str(exc.value)
+
+
 def test_wrong_class_length_is_rejected():
     obj = minimal_obj()
     obj["components"][0]["class"] = [6, 0]

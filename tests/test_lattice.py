@@ -206,6 +206,16 @@ def test_line_intersection_matrix_requires_low_degree():
         line_intersection_matrix(make_surface(8, QUADRIC))
 
 
+PINNED_DEG4_C0_TO_E1 = (
+    (3, 2, 1, 1, 1, 1),
+    (-2, -1, -1, -1, -1, -1),
+    (-1, -1, 0, -1, 0, 0),
+    (-1, -1, -1, 0, 0, 0),
+    (-1, -1, 0, 0, 0, -1),
+    (-1, -1, 0, 0, -1, 0),
+)
+
+
 class TestIsometries:
     def test_identity(self):
         s = make_surface(4)
@@ -217,6 +227,20 @@ class TestIsometries:
         s = make_surface(4)
         cm = LatticeIsometry.cremona(s, 1, 2, 3)
         assert cm.apply(class_E(s, 1)).coeffs == (1, 0, -1, -1, 0, 0)
+
+    def test_reflection_in_exceptional_difference_swaps_the_pair(self):
+        s = make_surface(4)
+        swap = LatticeIsometry.reflection(s, (0, 1, -1, 0, 0, 0))
+        assert swap.apply(class_E(s, 1)) == class_E(s, 2)
+        assert swap.apply(class_L(s, 1, 3)) == class_L(s, 2, 3)
+        assert swap.apply(class_E(s, 4)) == class_E(s, 4)
+
+    def test_reflection_rejects_non_roots(self):
+        s = make_surface(4)
+        with pytest.raises(LatticeError):
+            LatticeIsometry.reflection(s, (1, -1, 0, 0, 0, 0))  # isotropic, K.v = -2
+        with pytest.raises(LatticeError):
+            LatticeIsometry.reflection(s, (0, 1, -1, 0, 0))  # wrong length
 
     def test_construction_rejects_non_isometry(self):
         s = make_surface(4)
@@ -244,6 +268,74 @@ class TestIsometries:
         for src, dst in pair:
             assert iso.apply(src) == dst
 
+    @pytest.mark.parametrize(
+        "degree,pairs,matrix",
+        [
+            (
+                4,
+                [((2, -1, -1, -1, -1, -1), (0, 1, 0, 0, 0, 0))],
+                PINNED_DEG4_C0_TO_E1,
+            ),
+            (
+                4,
+                [
+                    ((2, -1, -1, -1, -1, -1), (0, 1, 0, 0, 0, 0)),
+                    ((0, 0, 0, 1, 0, 0), (1, -1, -1, 0, 0, 0)),
+                ],
+                PINNED_DEG4_C0_TO_E1,
+            ),
+            (
+                3,
+                [
+                    ((2, -1, -1, -1, -1, -1, 0), (0, 1, 0, 0, 0, 0, 0)),
+                    ((0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0, 0)),
+                ],
+                (
+                    (3, 2, 1, 1, 1, 1, 0),
+                    (-2, -1, -1, -1, -1, -1, 0),
+                    (0, 0, 0, 0, 0, 0, 1),
+                    (-1, -1, 0, 0, -1, 0, 0),
+                    (-1, -1, 0, -1, 0, 0, 0),
+                    (-1, -1, -1, 0, 0, 0, 0),
+                    (-1, -1, 0, 0, 0, -1, 0),
+                ),
+            ),
+            (
+                2,
+                [((3, -2, -1, -1, -1, -1, -1, -1), (0, 1, 0, 0, 0, 0, 0, 0))],
+                (
+                    (4, 3, 1, 1, 1, 1, 1, 1),
+                    (-3, -2, -1, -1, -1, -1, -1, -1),
+                    (-1, -1, 0, -1, 0, 0, 0, 0),
+                    (-1, -1, -1, 0, 0, 0, 0, 0),
+                    (-1, -1, 0, 0, 0, -1, 0, 0),
+                    (-1, -1, 0, 0, -1, 0, 0, 0),
+                    (-1, -1, 0, 0, 0, 0, 0, -1),
+                    (-1, -1, 0, 0, 0, 0, -1, 0),
+                ),
+            ),
+        ],
+        ids=["deg4_c0", "deg4_meeting_pair", "deg3_disjoint_pair", "deg2_line"],
+    )
+    def test_find_model_isometry_returns_pinned_shortest_word(self, degree, pairs, matrix):
+        # The breadth-first search returns the first shortest word in
+        # generator order; these matrices freeze that choice.
+        s = make_surface(degree)
+        targets = [(DivisorClass(s, a), DivisorClass(s, b)) for a, b in pairs]
+        assert find_model_isometry(s, targets).matrix == matrix
+
+    def test_search_budget_error_names_the_limit(self):
+        # A disjoint line pair six reflections away from (E_1, E_2); the
+        # orbit holds 1 + 49 + 819 states within distance 2 and 3243 at 3.
+        s = make_surface(1)
+        a = DivisorClass(s, (3, -2, -1, -1, -1, -1, -1, -1, 0))
+        b = DivisorClass(s, (6, -3, -2, -2, -2, -2, -2, -2, -2))
+        targets = [(a, class_E(s, 1)), (b, class_E(s, 2))]
+        with pytest.raises(LatticeError, match="max_states=1000") as exc:
+            find_model_isometry(s, targets, max_states=1000)
+        assert "1001 states explored" in str(exc.value)
+        assert "BFS depth 3 reached" in str(exc.value)
+
     def test_find_model_isometry_detects_invariant_conflict(self):
         s = make_surface(4)
         with pytest.raises(LatticeError, match="invariant"):
@@ -264,13 +356,13 @@ class TestIsometries:
     @settings(max_examples=40, deadline=None)
     @given(word=st.lists(st.integers(0, 10), min_size=0, max_size=5), data=st.data())
     def test_random_words_preserve_invariants(self, word, data):
-        from delpezzo_lct.lattice import _isometry_generators
+        from delpezzo_lct.lattice import _generator_roots
 
         s = make_surface(4)
-        gens = _isometry_generators(s)
+        roots = _generator_roots(s)
         iso = LatticeIsometry.identity(s)
         for g in word:
-            iso = gens[g % len(gens)].compose(iso)
+            iso = LatticeIsometry.reflection(s, roots[g % len(roots)]).compose(iso)
         a = DivisorClass(s, tuple(data.draw(st.integers(-3, 3)) for _ in range(6)))
         b = DivisorClass(s, tuple(data.draw(st.integers(-3, 3)) for _ in range(6)))
         assert iso.apply(a).dot(iso.apply(b)) == a.dot(b)
