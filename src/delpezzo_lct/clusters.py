@@ -20,6 +20,8 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -159,13 +161,11 @@ class WeightedCluster:
     def _validate(self) -> None:
         if not self.nodes:
             raise ClusterError("a cluster needs at least the root node")
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        index = self._index
+        if len(index) != len(self.nodes):
             raise ClusterError("duplicate node ids")
-        index = {nid: i for i, nid in enumerate(ids)}
         known = set(self.component_ids)
-        roots = [n for n in self.nodes if n.parent is None]
-        if len(roots) != 1 or self.nodes[0].parent is not None:
+        if self.nodes[0].parent is not None or any(n.parent is None for n in self.nodes[1:]):
             raise ClusterError("exactly one root is allowed and it must come first")
         for i, node in enumerate(self.nodes):
             for comp in node.mults:
@@ -175,24 +175,22 @@ class WeightedCluster:
                 if node.proximate_to:
                     raise ClusterError("the root is proximate to nothing")
                 continue
-            if node.parent not in index or index[node.parent] >= i:
+            if index.get(node.parent, i) >= i:
                 raise ClusterError(f"parent of {node.id!r} must be listed before it")
             prox = node.proximate_to
             if node.parent not in prox:
                 raise ClusterError(f"{node.id!r} must be proximate to its parent")
             if len(set(prox)) != len(prox) or len(prox) > 2:
                 raise ClusterError(f"{node.id!r} may be proximate to its parent and at most one more point")
-            ancestors = self._ancestors(node.id, index)
+            # The parent was checked first, so its proximities are ancestors of
+            # it: an extra proximity is valid exactly when the parent has it.
+            # Only a failure walks the ancestor chain, to name the fault.
+            parent_prox = self.nodes[index[node.parent]].proximate_to
             for a in prox:
-                if a not in ancestors:
-                    raise ClusterError(f"{node.id!r} proximate to non-ancestor {a!r}")
-            extra = [a for a in prox if a != node.parent]
-            if extra:
-                parent_node = self.nodes[index[node.parent]]
-                if extra[0] not in parent_node.proximate_to:
-                    raise ClusterError(
-                        f"satellite {node.id!r}: its parent is not proximate to {extra[0]!r}"
-                    )
+                if a != node.parent and a not in parent_prox:
+                    if a not in self._ancestors(node.id, index):
+                        raise ClusterError(f"{node.id!r} proximate to non-ancestor {a!r}")
+                    raise ClusterError(f"satellite {node.id!r}: its parent is not proximate to {a!r}")
         # A satellite direction E_parent /\ E_a is a single point.
         seen_pairs = set()
         for node in self.nodes:
@@ -203,7 +201,7 @@ class WeightedCluster:
                     raise ClusterError(f"two satellites over the same corner {pair}")
                 seen_pairs.add(pair)
         # Proximity inequality, per component.
-        prox_children: dict[str, list[ClusterNode]] = {nid: [] for nid in ids}
+        prox_children: dict[str, list[ClusterNode]] = {nid: [] for nid in index}
         for node in self.nodes:
             for a in node.proximate_to:
                 prox_children[a].append(node)
@@ -260,6 +258,19 @@ class WeightedCluster:
             table[node.id] = 1 + sum(table[a] for a in node.proximate_to)
         return table
 
+    @cached_property
+    def _forms(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+        """Per node: (id, k, v of each component in ``component_ids`` order).
+
+        v_q(D) is the integer linear form sum_i d_i * v_q(C_i) in these
+        columns; certificates evaluate it once per coefficient vector.
+        """
+        vals = [self._valuations[c] for c in self.component_ids]
+        ks = self._log_discrepancies
+        return tuple(
+            (n.id, ks[n.id], tuple(table[n.id] for table in vals)) for n in self.nodes
+        )
+
     def valuation(self, node_id: str, component: str) -> int:
         self.node(node_id)
         if component not in set(self.component_ids):
@@ -297,17 +308,24 @@ class WeightedCluster:
         return root.mult(component) - used
 
     def relabelled(self, prefix: str) -> "WeightedCluster":
+        """The same cluster with ``prefix`` before every node id.
+
+        Renaming preserves validity, so the result is not checked again.
+        """
         ren = {n.id: f"{prefix}{n.id}" for n in self.nodes}
         nodes = tuple(
             ClusterNode(
                 ren[n.id],
                 None if n.parent is None else ren[n.parent],
                 tuple(ren[a] for a in n.proximate_to),
-                dict(n.mults),
+                n.mults,
             )
             for n in self.nodes
         )
-        return WeightedCluster(nodes, self.component_ids)
+        renamed = object.__new__(WeightedCluster)
+        object.__setattr__(renamed, "nodes", nodes)
+        object.__setattr__(renamed, "component_ids", self.component_ids)
+        return renamed
 
 
 def canonical_form(cluster: WeightedCluster):
@@ -374,16 +392,23 @@ class ConfigPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "incident", tuple(self.incident))
 
+    @cached_property
+    def cluster(self) -> WeightedCluster:
+        """The compiled cluster, node ids prefixed with ``"<point id>."``.
 
-def _compile_point(point: ConfigPoint, known_components: set[str]) -> WeightedCluster:
+        Compiled once per point: every configuration holding this point
+        (scaled, re-weighted, or blown up elsewhere) shares the cluster and
+        its valuation tables.  Component ids are checked per configuration.
+        """
+        return _compile_germ(self)
+
+
+def _compile_germ(point: ConfigPoint) -> WeightedCluster:
     if isinstance(point.germ, WeightedCluster):
         if point.incident:
             raise ClusterError(
                 f"point {point.id!r}: explicit clusters carry their own incidence data"
             )
-        for comp in point.germ.component_ids:
-            if comp not in known_components:
-                raise ClusterError(f"point {point.id!r} mentions unknown component {comp!r}")
         return point.germ.relabelled(f"{point.id}.")
     germ = point.germ
     slots = sorted(inc.branch for inc in point.incident)
@@ -392,11 +417,7 @@ def _compile_point(point: ConfigPoint, known_components: set[str]) -> WeightedCl
             f"point {point.id!r}: germ {germ.kind}({germ.branches}) needs branch "
             f"slots 0..{germ.branches - 1}, got {slots}"
         )
-    branch_to_comp = {}
-    for inc in point.incident:
-        if inc.component not in known_components:
-            raise ClusterError(f"point {point.id!r} mentions unknown component {inc.component!r}")
-        branch_to_comp[inc.branch] = inc.component
+    branch_to_comp = {inc.branch: inc.component for inc in point.incident}
     template = _germ_template(germ)
     ids = [f"{point.id}.n{i}" for i in range(len(template))]
     nodes = []
@@ -420,14 +441,23 @@ def _compile_point(point: ConfigPoint, known_components: set[str]) -> WeightedCl
     return WeightedCluster(tuple(nodes), tuple(comp_ids))
 
 
+def _compile_point(point: ConfigPoint, known_components: set[str]) -> WeightedCluster:
+    cluster = point.cluster
+    for comp in cluster.component_ids:
+        if comp not in known_components:
+            raise ClusterError(f"point {point.id!r} mentions unknown component {comp!r}")
+    return cluster
+
+
 @dataclass(frozen=True)
 class DivisorConfiguration:
     """A Q-divisor given by lattice classes plus local germ data.
 
     The pairwise local intersections implied by the germ data are checked
-    against the lattice pairing for components with distinct classes (the
-    declared data is trusted beyond that; realizability over a field is the
-    geometry the construction sites establish by hand).  ``allow_signed``
+    against the lattice pairing, also for two components in one class
+    (distinct curves in a class meet in C^2 points; the declared data is
+    trusted beyond that, and realizability over a field is the geometry the
+    construction sites establish by hand).  ``allow_signed``
     admits nonpositive coefficients, which blow-up transforms produce.
     """
 
@@ -461,6 +491,11 @@ class DivisorConfiguration:
     @cached_property
     def coefficients(self) -> dict[str, Fraction]:
         return {c.id: c.coeff for c in self.components}
+
+    @cached_property
+    def _certificates(self) -> dict[Optional[str], "LctCertificate"]:
+        """:func:`certificate` results by point scope (None: the whole divisor)."""
+        return {}
 
     def component(self, comp_id: str) -> Component:
         for c in self.components:
@@ -500,10 +535,7 @@ class DivisorConfiguration:
                 key = (i, j) if i < j else (j, i)
                 totals[key] = totals.get(key, 0) + cluster.local_intersection_pair(i, j)
         for (i, j), local in totals.items():
-            ci, cj = self.component(i), self.component(j)
-            if ci.cls == cj.cls:
-                continue  # members of one pencil; the lattice bound does not apply
-            lattice = ci.cls.dot(cj.cls)
+            lattice = self.component(i).cls.dot(self.component(j).cls)
             if local > lattice:
                 raise InconsistentConfigError(i, j, local, lattice)
 
@@ -585,8 +617,38 @@ def _incident_components(cfg: DivisorConfiguration, point_id: str) -> list[str]:
     ]
 
 
+def _point_rows(cfg: DivisorConfiguration, point_id: str) -> list[CertificateRow]:
+    """The cluster rows at one point, each v_q(D) an integer linear form.
+
+    Over the common denominator L of the coefficients d_i at the point,
+    v_q(D) = (sum_i (d_i * L) * v_q(C_i)) / L with integer terms, so a row
+    costs one Fraction for v and one for its ratio (k+1)/v = (k+1)*L / (v*L).
+    """
+    cluster = cfg.cluster_at(point_id)
+    coeffs = [cfg.coefficients[c] for c in cluster.component_ids]
+    den = math.lcm(*(d.denominator for d in coeffs))
+    nums = [d.numerator * (den // d.denominator) for d in coeffs]
+    rows = []
+    for node_id, k, vals in cluster._forms:
+        v = sum(map(operator.mul, nums, vals))
+        ratio = Fraction((k + 1) * den, v) if v > 0 else None
+        rows.append(CertificateRow(point_id, node_id, k, Fraction(v, den), ratio))
+    return rows
+
+
 def certificate(cfg: DivisorConfiguration, point_id: Optional[str] = None) -> LctCertificate:
-    """All threshold constraints, scoped to one point or to the whole divisor."""
+    """All threshold constraints, scoped to one point or to the whole divisor.
+
+    Computed once per configuration and scope; both are immutable, so
+    repeated queries (``is_log_canonical`` at many lambda) share the result.
+    """
+    cached = cfg._certificates.get(point_id)
+    if cached is None:
+        cached = cfg._certificates[point_id] = _certificate(cfg, point_id)
+    return cached
+
+
+def _certificate(cfg: DivisorConfiguration, point_id: Optional[str]) -> LctCertificate:
     if point_id is None:
         comp_ids = [c.id for c in cfg.components]
         point_ids = [p.id for p in cfg.points]
@@ -600,12 +662,7 @@ def certificate(cfg: DivisorConfiguration, point_id: Optional[str] = None) -> Lc
         bounds.append(ComponentBound(cid, d, Fraction(1) / d if d > 0 else None))
     rows = []
     for pid in point_ids:
-        cluster = cfg.cluster_at(pid)
-        for node in cluster.nodes:
-            v = cluster.divisor_valuation(node.id, cfg.coefficients)
-            k = cluster._log_discrepancies[node.id]
-            ratio = Fraction(k + 1, 1) / v if v > 0 else None
-            rows.append(CertificateRow(pid, node.id, k, v, ratio))
+        rows.extend(_point_rows(cfg, pid))
 
     best: Optional[Fraction] = None
     minimizer: Optional[tuple[str, str]] = None
@@ -647,16 +704,8 @@ def non_klt_locus(cfg: DivisorConfiguration, lam: Fraction) -> tuple[frozenset[s
     """
     lam = Fraction(lam)
     comps = frozenset(c.id for c in cfg.components if lam * c.coeff >= 1)
-    pts = set()
-    for p in cfg.points:
-        cluster = cfg.cluster_at(p.id)
-        for node in cluster.nodes:
-            v = cluster.divisor_valuation(node.id, cfg.coefficients)
-            k = cluster._log_discrepancies[node.id]
-            if lam * v - k >= 1:
-                pts.add(p.id)
-                break
-    return comps, frozenset(pts)
+    pts = frozenset(r.point for r in certificate(cfg).rows if lam * r.v - r.k >= 1)
+    return comps, pts
 
 
 def scale_configuration(cfg: DivisorConfiguration, lam: Fraction) -> DivisorConfiguration:

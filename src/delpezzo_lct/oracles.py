@@ -258,6 +258,25 @@ def _needs_blowup(curves: list[_Curve]) -> bool:
     return False
 
 
+def _unresolved(curves: list[_Curve]) -> ClusterError:
+    """The error for a resolution that reached the depth cap, naming the limit.
+
+    Each chart change is injective on truncated series, so two branches with
+    equal series here had equal series, through ``_ORDER`` terms, on input:
+    more depth cannot separate them, only more precision could.
+    """
+    branches = [c for c in curves if c.tag[0] == "b"]
+    for a, b in itertools.combinations(branches, 2):
+        if a.x == b.x and a.y == b.y:
+            return ClusterError(
+                f"branches {a.tag[1]!r} and {b.tag[1]!r} coincide through "
+                f"_ORDER={_ORDER} series terms"
+            )
+    return ClusterError(
+        f"resolution did not terminate within the depth cap _MAX_DEPTH={_MAX_DEPTH}"
+    )
+
+
 def resolve_branches(branches: dict, prefix: str = "n"):
     """Resolve parametrized branches to a weighted cluster, from scratch.
 
@@ -275,7 +294,7 @@ def resolve_branches(branches: dict, prefix: str = "n"):
 
     def blow(cur: list[_Curve], parent: Optional[str], depth: int) -> None:
         if depth > _MAX_DEPTH:
-            raise ClusterError("resolution did not terminate within the depth cap")
+            raise _unresolved(cur)
         node_id = f"{prefix}{next(counter)}"
         prox = tuple(c.tag[1] for c in cur if c.tag[0] == "e")
         nodes.append((node_id, parent, prox))

@@ -202,10 +202,10 @@ def run_adjunction(seed: int, cases: int) -> CheckResult:
             rng, [f"w{i}" for i in range(nomega)], path_comps=("C",)
         )
         coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
-        cfg = _config_from_cluster(cluster, coeffs)
         lam = Fraction(rng.randint(1, 6), rng.randint(2, 6))
         if lam * coeffs["C"] > 1:
             continue
+        cfg = _config_from_cluster(cluster, coeffs)
         lc, _ = clusters.is_log_canonical(cfg, lam, "p")
         if lc:
             continue
@@ -236,7 +236,6 @@ def run_theorem_disjunction(seed: int, cases: int) -> CheckResult:
         a2 = Fraction(rng.randint(1, 8), 8)
         coeffs["C1"], coeffs["C2"] = a1, a2
         omega = {c: coeffs[c] for c in cluster.component_ids if c not in ("C1", "C2")}
-        cfg = _config_from_cluster(cluster, coeffs)
         if any(v > 1 for v in coeffs.values()):
             continue
         mult_omega = sum(
@@ -246,6 +245,7 @@ def run_theorem_disjunction(seed: int, cases: int) -> CheckResult:
             continue
         if cluster.local_intersection_pair("C1", "C2") != 1:
             continue
+        cfg = _config_from_cluster(cluster, coeffs)
         lc, _ = clusters.is_log_canonical(cfg, 1, "p")
         if lc:
             continue

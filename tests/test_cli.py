@@ -145,6 +145,16 @@ class TestLct:
         err = capsys.readouterr().err
         assert "E1" in err and "E2" in err
 
+    def test_same_class_curves_checked_exits_3(self, tmp_path, capsys):
+        obj = json.loads(INCONSISTENT_CONFIG)
+        for comp in obj["components"]:
+            comp["class"] = [1, -1, 0, 0, 0, 0]
+        obj["points"][0]["germ"] = "node"
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["lct", str(path)]) == 3
+        assert "only meet in 0 points" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["lct", "/nonexistent/file.json"]) == 2
 

@@ -1,5 +1,6 @@
 """Tests for clusters, log canonicity, thresholds and blow-up transforms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from delpezzo_lct import (
     with_coefficients,
 )
 from delpezzo_lct.glct import class_E, class_L
+from delpezzo_lct.properties import _random_point_config
 
 ONE = Fraction(1)
 
@@ -168,6 +170,68 @@ class TestClusterValidation:
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ClusterError):
             ClusterNode("n0", None, (), {"c": -1})
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (
+                [("n0", None, (), 1), ("n0", "n0", ("n0",), 1)],
+                "duplicate node ids",
+            ),
+            (
+                [("n1", "n0", ("n0",), 1), ("n0", None, (), 1)],
+                "exactly one root is allowed and it must come first",
+            ),
+            (
+                [("n0", None, (), 2), ("n1", "n2", ("n2",), 1), ("n2", "n0", ("n0",), 1)],
+                "parent of 'n1' must be listed before it",
+            ),
+            (
+                [("n0", None, (), 2), ("n1", "n0", (), 1)],
+                "'n1' must be proximate to its parent",
+            ),
+            (
+                [("n0", None, (), 3), ("n1", "n0", ("n0",), 1), ("n2", "n0", ("n0", "n1"), 1)],
+                "'n2' proximate to non-ancestor 'n1'",
+            ),
+            (
+                [("n0", None, (), 3), ("n1", "n0", ("n0", "ghost"), 1)],
+                "'n1' proximate to non-ancestor 'ghost'",
+            ),
+            (
+                [
+                    ("n0", None, (), 3),
+                    ("n1", "n0", ("n0",), 2),
+                    ("n2", "n1", ("n1", "n0"), 1),
+                    ("n3", "n2", ("n2", "n1"), 1),
+                    ("n4", "n3", ("n3", "n0"), 1),
+                ],
+                "satellite 'n4': its parent is not proximate to 'n0'",
+            ),
+            (
+                [
+                    ("n0", None, (), 4),
+                    ("n1", "n0", ("n0",), 2),
+                    ("n2", "n1", ("n1", "n0"), 1),
+                    ("n3", "n1", ("n1", "n0"), 1),
+                ],
+                "two satellites over the same corner ('n1', 'n0')",
+            ),
+            (
+                [("n0", None, (), 1), ("n1", "n0", ("n0",), 2)],
+                "proximity inequality fails for 'c' at 'n0': 1 < 2",
+            ),
+        ],
+        ids=[
+            "duplicate", "root_first", "parent_after", "parent_proximity", "non_ancestor",
+            "unknown_target", "satellite", "corner", "inequality",
+        ],
+    )
+    def test_error_messages(self, rows, message):
+        nodes = tuple(ClusterNode(nid, par, prox, {"c": m}) for nid, par, prox, m in rows)
+        with pytest.raises(ClusterError) as err:
+            WeightedCluster(nodes, ("c",))
+        assert str(err.value) == message
 
 
 class TestMultiplicityAt:
@@ -324,6 +388,17 @@ class TestConsistency:
         )
         DivisorConfiguration(s, comps, (point,))  # must not raise
 
+    def test_two_curves_of_one_pencil_meet_nowhere(self):
+        # Conics H - E1 on a quartic surface: C^2 = 0, so distinct members
+        # of the pencil are disjoint and cannot share a node.
+        s = make_surface(4)
+        conic = DivisorClass(s, (1, -1, 0, 0, 0, 0))
+        comps = (Component("A", conic, ONE), Component("B", conic, ONE))
+        point = ConfigPoint("p", Germ.node(), (Incidence("A", 0), Incidence("B", 1)))
+        with pytest.raises(InconsistentConfigError) as err:
+            DivisorConfiguration(s, comps, (point,))
+        assert (err.value.local_total, err.value.lattice_total) == (1, 0)
+
     def test_nonpositive_coefficient_rejected_by_default(self):
         s = make_surface(9)
         with pytest.raises(ClusterError, match="positive"):
@@ -430,3 +505,51 @@ def test_scale_and_with_coefficients():
     assert doubled.coefficients["c"] == 2
     reset = with_coefficients(doubled, {"c": Fraction(1, 3)})
     assert lct_at_point(reset, "p").lct == Fraction(5, 2)
+
+
+def test_compiled_point_is_shared_and_checked_per_configuration():
+    cfg = plane_config(Germ.cusp(), {0: "c"})
+    cluster = cfg.cluster_at("p")
+    assert scale_configuration(cfg, Fraction(2)).cluster_at("p") is cluster
+    assert with_coefficients(cfg, {"c": Fraction(1, 3)}).cluster_at("p") is cluster
+    s = cfg.surface
+    with pytest.raises(ClusterError, match="point 'p' mentions unknown component 'c'"):
+        DivisorConfiguration(s, (Component("d", DivisorClass(s, (5,)), ONE),), cfg.points)
+
+
+def test_certificate_is_computed_once_per_scope():
+    cfg = plane_config(Germ.ordinary(3), {0: "a", 1: "b", 2: "c"})
+    cert = lct_global(cfg)
+    assert lct_global(cfg) is cert
+    assert is_log_canonical(cfg, Fraction(1, 2))[1] is cert
+    assert lct_at_point(cfg, "p") is lct_at_point(cfg, "p")
+
+
+def _reference_rows(cfg):
+    """Certificate rows recomputed with the per-node Fraction sum."""
+    rows = []
+    for p in cfg.points:
+        cluster = cfg.cluster_at(p.id)
+        for node in cluster.nodes:
+            v = cluster.divisor_valuation(node.id, cfg.coefficients)
+            k = log_discrepancy(cluster, node.id) - 1
+            rows.append((p.id, node.id, k, v, Fraction(k + 1) / v if v > 0 else None))
+    return rows
+
+
+def test_certificate_rows_match_divisor_valuation_reference():
+    rng = random.Random("certificate-rows")
+    signed = 0
+    for _ in range(150):
+        cfg = _random_point_config(rng)
+        lam = Fraction(rng.randint(1, 10), rng.randint(3, 9))
+        blown = transform_by_blowup(scale_configuration(cfg, lam), "p")
+        signed += any(c.coeff < 0 for c in blown.components)
+        for c in (cfg, blown):
+            rows = _reference_rows(c)
+            cert = lct_global(c)
+            assert [(r.point, r.node, r.k, r.v, r.ratio) for r in cert.rows] == rows
+            mu = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+            want = frozenset(pid for pid, _, k, v, _ in rows if mu * v - k >= 1)
+            assert non_klt_locus(c, mu)[1] == want
+    assert signed >= 20

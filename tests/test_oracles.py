@@ -121,3 +121,24 @@ def test_brute_force_matches_enumeration_on_conics_and_cubics(degree):
         fast = [c.coeffs for c in enumerate_classes(s, deg, self_int)]
         slow = [c.coeffs for c in brute_force_classes(s, deg, self_int)]
         assert fast == slow
+
+
+def test_resolver_names_the_depth_cap():
+    # Contact 20 needs more blow-ups than the depth cap allows.
+    from delpezzo_lct.oracles import _MAX_DEPTH
+
+    branches = {"A": ([0, 1], [0] * 20 + [1]), "B": ([0, 1], [0] * 20 + [-1])}
+    with pytest.raises(ClusterError) as err:
+        resolve_parametrized(branches)
+    assert str(err.value) == (
+        f"resolution did not terminate within the depth cap _MAX_DEPTH={_MAX_DEPTH}"
+    )
+
+
+def test_resolver_names_coinciding_branches():
+    from delpezzo_lct.oracles import _ORDER
+
+    branches = {"A": ([0, 1], [0, 0, 1]), "B": ([0, 1], [0, 0, 1])}
+    with pytest.raises(ClusterError) as err:
+        resolve_parametrized(branches)
+    assert str(err.value) == f"branches 'A' and 'B' coincide through _ORDER={_ORDER} series terms"
