@@ -113,13 +113,12 @@ def _germ_template(germ: Germ) -> list[tuple[Optional[int], tuple[int, ...], dic
             (None, (), {0: 1, 1: 1}),
             (0, (0,), {0: 1, 1: 1}),
         ]
-    if germ.kind == "cusp":
-        return [
-            (None, (), {0: 2}),
-            (0, (0,), {0: 1}),
-            (1, (1, 0), {0: 1}),
-        ]
-    raise ClusterError(f"unknown germ kind {germ.kind!r}")
+    # cusp: `Germ` has already rejected every other kind
+    return [
+        (None, (), {0: 2}),
+        (0, (0,), {0: 1}),
+        (1, (1, 0), {0: 1}),
+    ]
 
 
 @dataclass(frozen=True)

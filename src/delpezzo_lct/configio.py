@@ -25,6 +25,8 @@ from pathlib import Path
 from typing import Union
 
 from .clusters import (
+    _FIXED_ARITY,
+    GERM_KINDS,
     ClusterNode,
     Component,
     ConfigPoint,
@@ -54,32 +56,25 @@ class ConfigSchemaError(ValueError):
 _GERM_RE = re.compile(r"^([a-z_]+)(?:\((\d+)\))?$")
 
 
-_FIXED_GERMS = {
-    "node": Germ.node,
-    "cusp": Germ.cusp,
-    "tacnode": Germ.tacnode,
-    "tacnode_curve": Germ.tacnode_curve,
-}
-
-
 def germ_from_string(text: str) -> Germ:
     m = _GERM_RE.match(text.strip())
     if not m:
         raise ValueError(f"malformed germ {text!r}")
     kind, arg = m.group(1), m.group(2)
-    if kind in ("smooth_transverse", "ordinary"):
-        return Germ(kind, int(arg) if arg is not None else 1)
-    if kind not in _FIXED_GERMS:
+    if kind not in GERM_KINDS:
         raise ValueError(f"unknown germ {kind!r}")
+    fixed = _FIXED_ARITY.get(kind)
+    if fixed is None:
+        return Germ(kind, int(arg) if arg is not None else 1)
     if arg is not None:
         raise ValueError(f"germ {kind!r} takes no branch count")
-    return _FIXED_GERMS[kind]()
+    return Germ(kind, fixed)
 
 
 def germ_to_string(germ: Germ) -> str:
-    if germ.kind in ("smooth_transverse", "ordinary"):
-        return f"{germ.kind}({germ.branches})"
-    return germ.kind
+    if germ.kind in _FIXED_ARITY:
+        return germ.kind
+    return f"{germ.kind}({germ.branches})"
 
 
 def _is_int(x) -> bool:

@@ -141,7 +141,9 @@ def simulate_pullbacks(cluster: WeightedCluster):
 # Power-series blow-up resolution of parametrized branches
 
 _ORDER = 24
-_MAX_DEPTH = 16
+# Two smooth branches of contact c < _ORDER separate after c blow-ups; the
+# depth cap follows the truncation order so that no such pair is cut off.
+_MAX_DEPTH = _ORDER
 
 _Series = tuple[Fraction, ...]
 

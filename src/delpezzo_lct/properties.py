@@ -1,9 +1,12 @@
 """Seeded randomized suites for the threshold engine's structural laws.
 
-Each suite draws valid random configurations, filters for its hypothesis,
-and asserts the conclusion; a run demands a minimum number of asserted
-instances so vacuous passes cannot hide.  Instances are generated from
-`random.Random(str)` seeds, so reports are reproducible bit for bit.
+Each suite is a law: it draws a valid random configuration, returns
+``None`` when the instance misses its hypothesis, and otherwise returns
+whether the conclusion holds with a detail string.  Defining a law with
+``@_suite`` registers it; one trial loop runs every law and demands a
+minimum number of asserted instances so vacuous passes cannot hide.
+Instances are generated from `random.Random(str)` seeds, so reports are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -117,6 +120,12 @@ def _random_cluster(
     return WeightedCluster(tuple(nodes), comp_ids)
 
 
+def _random_heavy_cluster(rng: random.Random, max_nodes: int = 5) -> WeightedCluster:
+    """A random cluster carrying 1-3 heavy components c0, c1, ..."""
+    ncomps = rng.randint(1, 3)
+    return _random_cluster(rng, [f"c{i}" for i in range(ncomps)], max_nodes=max_nodes)
+
+
 def _plane_components(comp_coeffs: dict[str, Fraction]) -> tuple[Component, ...]:
     # Plane classes n*H with large n keep every local declaration consistent.
     surface = make_surface(9)
@@ -146,217 +155,193 @@ def _weighted_local_pairing(
     return total
 
 
-class _SuiteRun:
-    def __init__(self, name: str, cases: int):
-        self.name = name
-        self.cases = cases
-        self.asserted = 0
-        self.failures: list[str] = []
-
-    def record(self, ok: bool, detail: str) -> None:
-        self.asserted += 1
-        if not ok and len(self.failures) < 5:
-            self.failures.append(detail)
-
-    def done(self) -> bool:
-        return self.asserted >= self.cases
-
-    def result(self) -> CheckResult:
-        ok = not self.failures and self.asserted >= self.cases
-        expected = f">={self.cases} instances, 0 failures"
-        computed = f"{self.asserted} instances, {len(self.failures)} failures"
-        note = "; ".join(self.failures)
-        return CheckResult(f"properties.{self.name}", expected, computed, ok, note)
+_Outcome = Optional[tuple[bool, str]]
+_RUNNERS: list[Callable[[int, int], CheckResult]] = []
 
 
-def run_skoda(seed: int, cases: int) -> CheckResult:
+def _suite(law: Callable[[random.Random], _Outcome]) -> Callable[[int, int], CheckResult]:
+    """Register ``law`` as the suite named after it (``run_<name>``) and
+    return its runner ``(seed, cases) -> CheckResult``.
+
+    The runner draws instances from the suite's seeded generator, at most
+    ``cases * _TRIAL_FACTOR`` times, until ``cases`` of them meet the
+    hypothesis; the first five failing details go into the note.
+    """
+    name = law.__name__.removeprefix("run_")
+
+    def run(seed: int, cases: int) -> CheckResult:
+        rng = _rng(seed, name)
+        asserted = 0
+        failures: list[str] = []
+        for _ in range(cases * _TRIAL_FACTOR):
+            if asserted >= cases:
+                break
+            outcome = law(rng)
+            if outcome is None:
+                continue
+            asserted += 1
+            holds, detail = outcome
+            if not holds and len(failures) < 5:
+                failures.append(detail)
+        ok = not failures and asserted >= cases
+        expected = f">={cases} instances, 0 failures"
+        computed = f"{asserted} instances, {len(failures)} failures"
+        return CheckResult(f"properties.{name}", expected, computed, ok, "; ".join(failures))
+
+    run.__name__ = run.__qualname__ = law.__name__
+    run.__doc__ = law.__doc__
+    _RUNNERS.append(run)
+    return run
+
+
+@_suite
+def run_skoda(rng: random.Random) -> _Outcome:
     """Non-log-canonical at p implies mult_p of the scaled divisor exceeds 1."""
-    rng = _rng(seed, "skoda")
-    run = _SuiteRun("skoda", cases)
-    for _ in range(cases * _TRIAL_FACTOR):
-        if run.done():
-            break
-        ncomps = rng.randint(1, 3)
-        cluster = _random_cluster(rng, [f"c{i}" for i in range(ncomps)])
-        coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
-        cfg = _config_from_cluster(cluster, coeffs)
-        lam = Fraction(rng.randint(1, 9), rng.randint(2, 8))
-        lc, _ = clusters.is_log_canonical(cfg, lam, "p")
-        if lc:
-            continue
-        mult = clusters.multiplicity_at(cfg, "p")
-        run.record(lam * mult > 1, f"lam={lam} mult={mult}")
-    return run.result()
+    cluster = _random_heavy_cluster(rng)
+    coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
+    cfg = _config_from_cluster(cluster, coeffs)
+    lam = Fraction(rng.randint(1, 9), rng.randint(2, 8))
+    lc, _ = clusters.is_log_canonical(cfg, lam, "p")
+    if lc:
+        return None
+    mult = clusters.multiplicity_at(cfg, "p")
+    return lam * mult > 1, f"lam={lam} mult={mult}"
 
 
-def run_adjunction(seed: int, cases: int) -> CheckResult:
+@_suite
+def run_adjunction(rng: random.Random) -> _Outcome:
     """For D = mC + Omega not lc at p with lam*m <= 1 and C smooth at p, the
     local pairing of C with lam*Omega at p exceeds 1."""
-    rng = _rng(seed, "adjunction")
-    run = _SuiteRun("adjunction", cases)
-    for _ in range(cases * _TRIAL_FACTOR):
-        if run.done():
-            break
-        nomega = rng.randint(1, 2)
-        cluster = _random_cluster(
-            rng, [f"w{i}" for i in range(nomega)], path_comps=("C",)
-        )
-        coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
-        lam = Fraction(rng.randint(1, 6), rng.randint(2, 6))
-        if lam * coeffs["C"] > 1:
-            continue
-        cfg = _config_from_cluster(cluster, coeffs)
-        lc, _ = clusters.is_log_canonical(cfg, lam, "p")
-        if lc:
-            continue
-        omega = {c: coeffs[c] for c in cluster.component_ids if c != "C"}
-        pairing = lam * _weighted_local_pairing(cluster, "C", omega)
-        run.record(pairing > 1, f"lam={lam} pairing={pairing}")
-    return run.result()
+    nomega = rng.randint(1, 2)
+    cluster = _random_cluster(
+        rng, [f"w{i}" for i in range(nomega)], path_comps=("C",)
+    )
+    coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
+    lam = Fraction(rng.randint(1, 6), rng.randint(2, 6))
+    if lam * coeffs["C"] > 1:
+        return None
+    cfg = _config_from_cluster(cluster, coeffs)
+    lc, _ = clusters.is_log_canonical(cfg, lam, "p")
+    if lc:
+        return None
+    omega = {c: coeffs[c] for c in cluster.component_ids if c != "C"}
+    pairing = lam * _weighted_local_pairing(cluster, "C", omega)
+    return pairing > 1, f"lam={lam} pairing={pairing}"
 
 
-def run_theorem_disjunction(seed: int, cases: int) -> CheckResult:
+@_suite
+def run_theorem_disjunction(rng: random.Random) -> _Outcome:
     """For a1 C1 + a2 C2 + Omega not lc at p but lc nearby, with the two
     curves meeting once at p and 0 < mult_p(Omega) <= 1, one of the local
     pairings (Omega.C_i)|_p must exceed 2(1 - a_other)."""
-    rng = _rng(seed, "theorem_disjunction")
-    run = _SuiteRun("theorem_disjunction", cases)
-    for _ in range(cases * _TRIAL_FACTOR):
-        if run.done():
-            break
-        nomega = rng.randint(1, 2)
-        cluster = _random_cluster(
-            rng,
-            [f"w{i}" for i in range(nomega)],
-            path_comps=("C1",),
-            root_only_comps=("C2",),
-        )
-        coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
-        a1 = Fraction(rng.randint(1, 8), 8)
-        a2 = Fraction(rng.randint(1, 8), 8)
-        coeffs["C1"], coeffs["C2"] = a1, a2
-        omega = {c: coeffs[c] for c in cluster.component_ids if c not in ("C1", "C2")}
-        if any(v > 1 for v in coeffs.values()):
-            continue
-        mult_omega = sum(
-            (w * cluster.root.mult(c) for c, w in omega.items()), Fraction(0)
-        )
-        if not 0 < mult_omega <= 1:
-            continue
-        if cluster.local_intersection_pair("C1", "C2") != 1:
-            continue
-        cfg = _config_from_cluster(cluster, coeffs)
-        lc, _ = clusters.is_log_canonical(cfg, 1, "p")
-        if lc:
-            continue
-        p1 = _weighted_local_pairing(cluster, "C1", omega)
-        p2 = _weighted_local_pairing(cluster, "C2", omega)
-        ok = p1 > 2 * (1 - a2) or p2 > 2 * (1 - a1)
-        run.record(ok, f"a1={a1} a2={a2} p1={p1} p2={p2}")
-    return run.result()
+    nomega = rng.randint(1, 2)
+    cluster = _random_cluster(
+        rng,
+        [f"w{i}" for i in range(nomega)],
+        path_comps=("C1",),
+        root_only_comps=("C2",),
+    )
+    coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
+    a1 = Fraction(rng.randint(1, 8), 8)
+    a2 = Fraction(rng.randint(1, 8), 8)
+    coeffs["C1"], coeffs["C2"] = a1, a2
+    omega = {c: coeffs[c] for c in cluster.component_ids if c not in ("C1", "C2")}
+    if any(v > 1 for v in coeffs.values()):
+        return None
+    mult_omega = sum(
+        (w * cluster.root.mult(c) for c, w in omega.items()), Fraction(0)
+    )
+    if not 0 < mult_omega <= 1:
+        return None
+    if cluster.local_intersection_pair("C1", "C2") != 1:
+        return None
+    cfg = _config_from_cluster(cluster, coeffs)
+    lc, _ = clusters.is_log_canonical(cfg, 1, "p")
+    if lc:
+        return None
+    p1 = _weighted_local_pairing(cluster, "C1", omega)
+    p2 = _weighted_local_pairing(cluster, "C2", omega)
+    ok = p1 > 2 * (1 - a2) or p2 > 2 * (1 - a1)
+    return ok, f"a1={a1} a2={a2} p1={p1} p2={p2}"
 
 
-def run_convexity(seed: int, cases: int) -> CheckResult:
+@_suite
+def run_convexity(rng: random.Random) -> _Outcome:
     """lct_p of a convex mix is at least the min of the two thresholds."""
-    rng = _rng(seed, "convexity")
-    run = _SuiteRun("convexity", cases)
-    for _ in range(cases * _TRIAL_FACTOR):
-        if run.done():
-            break
-        ncomps = rng.randint(1, 3)
-        cluster = _random_cluster(rng, [f"c{i}" for i in range(ncomps)])
-        d = {c: _random_coeff(rng) for c in cluster.component_ids}
-        b = {c: _random_coeff(rng) for c in cluster.component_ids}
-        alpha = Fraction(rng.randint(0, 12), 12)
-        mix = {
-            c: alpha * d[c] + (1 - alpha) * b[c] for c in cluster.component_ids
-        }
-        if any(v <= 0 for v in mix.values()):
-            continue
-        lct_d = clusters.lct_at_point(_config_from_cluster(cluster, d), "p").lct
-        lct_b = clusters.lct_at_point(_config_from_cluster(cluster, b), "p").lct
-        lct_mix = clusters.lct_at_point(_config_from_cluster(cluster, mix), "p").lct
-        floor = min(v for v in (lct_d, lct_b) if v is not None) if (
-            lct_d is not None or lct_b is not None
-        ) else None
-        ok = floor is None or lct_mix is None or lct_mix >= floor
-        run.record(ok, f"alpha={alpha} lct={lct_d},{lct_b},{lct_mix}")
-    return run.result()
+    cluster = _random_heavy_cluster(rng)
+    d = {c: _random_coeff(rng) for c in cluster.component_ids}
+    b = {c: _random_coeff(rng) for c in cluster.component_ids}
+    alpha = Fraction(rng.randint(0, 12), 12)
+    mix = {
+        c: alpha * d[c] + (1 - alpha) * b[c] for c in cluster.component_ids
+    }
+    if any(v <= 0 for v in mix.values()):
+        return None
+    lct_d = clusters.lct_at_point(_config_from_cluster(cluster, d), "p").lct
+    lct_b = clusters.lct_at_point(_config_from_cluster(cluster, b), "p").lct
+    lct_mix = clusters.lct_at_point(_config_from_cluster(cluster, mix), "p").lct
+    floor = min(v for v in (lct_d, lct_b) if v is not None) if (
+        lct_d is not None or lct_b is not None
+    ) else None
+    ok = floor is None or lct_mix is None or lct_mix >= floor
+    return ok, f"alpha={alpha} lct={lct_d},{lct_b},{lct_mix}"
 
 
-_CATALOG_GERMS: tuple[Callable[[], tuple[Germ, int]], ...] = (
-    lambda: (Germ.smooth(1), 1),
-    lambda: (Germ.smooth(2), 2),
-    lambda: (Germ.node(), 2),
-    lambda: (Germ.cusp(), 1),
-    lambda: (Germ.tacnode(), 2),
-    lambda: (Germ.tacnode_curve(), 2),
-    lambda: (Germ.ordinary(3), 3),
+_CATALOG_GERMS = (
+    Germ.smooth(1),
+    Germ.smooth(2),
+    Germ.node(),
+    Germ.cusp(),
+    Germ.tacnode(),
+    Germ.tacnode_curve(),
+    Germ.ordinary(3),
 )
 
 
 def _random_point_config(rng: random.Random) -> DivisorConfiguration:
     if rng.random() < 0.5:
-        germ, nbranches = rng.choice(_CATALOG_GERMS)()
-        ncomps = rng.randint(1, min(2, nbranches))
+        germ = rng.choice(_CATALOG_GERMS)
+        ncomps = rng.randint(1, min(2, germ.branches))
         if germ.kind in ("cusp", "tacnode_curve", "node"):
             ncomps = 1
         comp_ids = [f"c{i}" for i in range(ncomps)]
-        assignment = [
-            comp_ids[b % ncomps] for b in range(nbranches)
-        ]
         coeffs = {c: _random_coeff(rng) for c in comp_ids}
         comps = _plane_components(coeffs)
-        point = ConfigPoint(
-            "p",
-            germ,
-            tuple(Incidence(assignment[b], b) for b in range(nbranches)),
-        )
+        incident = tuple(Incidence(comp_ids[b % ncomps], b) for b in range(germ.branches))
+        point = ConfigPoint("p", germ, incident)
         return DivisorConfiguration(comps[0].cls.surface, comps, (point,))
-    ncomps = rng.randint(1, 3)
-    cluster = _random_cluster(rng, [f"c{i}" for i in range(ncomps)])
+    cluster = _random_heavy_cluster(rng)
     coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
     return _config_from_cluster(cluster, coeffs)
 
 
-def run_blowup_transfer(seed: int, cases: int) -> CheckResult:
+@_suite
+def run_blowup_transfer(rng: random.Random) -> _Outcome:
     """(S, lam D) lc at p iff the blown-up pair with the exceptional
     coefficient lam*mult_p(D) - 1 is lc at every point of E (marked
     directions plus the generic one, which only the E coefficient sees)."""
-    rng = _rng(seed, "blowup_transfer")
-    run = _SuiteRun("blowup_transfer", cases)
-    for _ in range(cases * _TRIAL_FACTOR):
-        if run.done():
-            break
-        cfg = _random_point_config(rng)
-        lam = Fraction(rng.randint(1, 10), rng.randint(3, 9))
-        before, _ = clusters.is_log_canonical(cfg, lam, "p")
-        scaled = clusters.scale_configuration(cfg, lam)
-        blown = clusters.transform_by_blowup(scaled, "p")
-        after, _ = clusters.is_log_canonical(blown, Fraction(1))
-        run.record(before == after, f"lam={lam} before={before} after={after}")
-    return run.result()
+    cfg = _random_point_config(rng)
+    lam = Fraction(rng.randint(1, 10), rng.randint(3, 9))
+    before, _ = clusters.is_log_canonical(cfg, lam, "p")
+    scaled = clusters.scale_configuration(cfg, lam)
+    blown = clusters.transform_by_blowup(scaled, "p")
+    after, _ = clusters.is_log_canonical(blown, Fraction(1))
+    return before == after, f"lam={lam} before={before} after={after}"
 
 
-def run_monotonicity(seed: int, cases: int) -> CheckResult:
+@_suite
+def run_monotonicity(rng: random.Random) -> _Outcome:
     """Raising any coefficient never raises the threshold."""
-    rng = _rng(seed, "monotonicity")
-    run = _SuiteRun("monotonicity", cases)
-    for _ in range(cases * _TRIAL_FACTOR):
-        if run.done():
-            break
-        ncomps = rng.randint(1, 3)
-        cluster = _random_cluster(rng, [f"c{i}" for i in range(ncomps)])
-        coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
-        cfg = _config_from_cluster(cluster, coeffs)
-        before = clusters.lct_at_point(cfg, "p").lct
-        bumped = dict(coeffs)
-        victim = rng.choice(list(coeffs))
-        bumped[victim] = coeffs[victim] + _random_coeff(rng)
-        after = clusters.lct_at_point(_config_from_cluster(cluster, bumped), "p").lct
-        ok = before is None or (after is not None and after <= before)
-        run.record(ok, f"before={before} after={after}")
-    return run.result()
+    cluster = _random_heavy_cluster(rng)
+    coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
+    cfg = _config_from_cluster(cluster, coeffs)
+    before = clusters.lct_at_point(cfg, "p").lct
+    bumped = dict(coeffs)
+    victim = rng.choice(list(coeffs))
+    bumped[victim] = coeffs[victim] + _random_coeff(rng)
+    after = clusters.lct_at_point(_config_from_cluster(cluster, bumped), "p").lct
+    ok = before is None or (after is not None and after <= before)
+    return ok, f"before={before} after={after}"
 
 
 def _random_topological_reorder(rng: random.Random, cluster: WeightedCluster) -> WeightedCluster:
@@ -372,57 +357,33 @@ def _random_topological_reorder(rng: random.Random, cluster: WeightedCluster) ->
     return WeightedCluster(tuple(placed), cluster.component_ids)
 
 
-def run_order_independence(seed: int, cases: int) -> CheckResult:
+@_suite
+def run_order_independence(rng: random.Random) -> _Outcome:
     """The threshold does not depend on the order sibling points are blown up."""
-    rng = _rng(seed, "order_independence")
-    run = _SuiteRun("order_independence", cases)
-    for _ in range(cases * _TRIAL_FACTOR):
-        if run.done():
-            break
-        ncomps = rng.randint(1, 3)
-        cluster = _random_cluster(rng, [f"c{i}" for i in range(ncomps)], max_nodes=6)
-        coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
-        shuffled = _random_topological_reorder(rng, cluster)
-        lct_a = clusters.lct_at_point(_config_from_cluster(cluster, coeffs), "p").lct
-        lct_b = clusters.lct_at_point(_config_from_cluster(shuffled, coeffs), "p").lct
-        run.record(lct_a == lct_b, f"{lct_a} != {lct_b}")
-    return run.result()
+    cluster = _random_heavy_cluster(rng, max_nodes=6)
+    coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
+    shuffled = _random_topological_reorder(rng, cluster)
+    lct_a = clusters.lct_at_point(_config_from_cluster(cluster, coeffs), "p").lct
+    lct_b = clusters.lct_at_point(_config_from_cluster(shuffled, coeffs), "p").lct
+    return lct_a == lct_b, f"{lct_a} != {lct_b}"
 
 
-def run_oracle_equivalence(seed: int, cases: int) -> CheckResult:
+@_suite
+def run_oracle_equivalence(rng: random.Random) -> _Outcome:
     """Proximity-recursion valuations and discrepancies match the
     step-by-step blow-up simulator on random valid clusters."""
-    rng = _rng(seed, "oracle_equivalence")
-    run = _SuiteRun("oracle_equivalence", cases)
-    for _ in range(cases * _TRIAL_FACTOR):
-        if run.done():
-            break
-        ncomps = rng.randint(1, 3)
-        cluster = _random_cluster(rng, [f"c{i}" for i in range(ncomps)], max_nodes=7)
-        vals, discs = simulate_pullbacks(cluster)
-        ok = True
-        for node in cluster.nodes:
-            if cluster.log_discrepancy(node.id) != discs[node.id] + 1:
+    cluster = _random_heavy_cluster(rng, max_nodes=7)
+    vals, discs = simulate_pullbacks(cluster)
+    ok = True
+    for node in cluster.nodes:
+        if cluster.log_discrepancy(node.id) != discs[node.id] + 1:
+            ok = False
+        for comp in cluster.component_ids:
+            if cluster.valuation(node.id, comp) != vals[comp][node.id]:
                 ok = False
-            for comp in cluster.component_ids:
-                if cluster.valuation(node.id, comp) != vals[comp][node.id]:
-                    ok = False
-        run.record(ok, f"cluster of {len(cluster.nodes)} nodes disagrees")
-    return run.result()
-
-
-_SUITES: tuple[tuple[str, Callable[[int, int], CheckResult]], ...] = (
-    ("skoda", run_skoda),
-    ("adjunction", run_adjunction),
-    ("theorem_disjunction", run_theorem_disjunction),
-    ("convexity", run_convexity),
-    ("blowup_transfer", run_blowup_transfer),
-    ("monotonicity", run_monotonicity),
-    ("order_independence", run_order_independence),
-    ("oracle_equivalence", run_oracle_equivalence),
-)
+    return ok, f"cluster of {len(cluster.nodes)} nodes disagrees"
 
 
 def run_property_suites(seed: int = 0, cases: int = 1000) -> Report:
-    results = tuple(runner(seed, cases) for _, runner in _SUITES)
+    results = tuple(runner(seed, cases) for runner in _RUNNERS)
     return Report("properties", results, seed=seed, cases=cases)

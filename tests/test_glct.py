@@ -1,6 +1,10 @@
 """Tests for the witness catalog and the verification suites."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,22 @@ def test_witness_provenance_tags():
 def test_unknown_scenario_raises():
     with pytest.raises(KeyError):
         witness("deg11")
+
+
+def test_exported_witnesses_match_frozen_benchmark_inputs(tmp_path):
+    # bench/data holds the benchmark's inputs; they must stay the export of
+    # the witness catalog, byte for byte.
+    root = Path(__file__).resolve().parents[1]
+    src_path = [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(src_path))
+    script = root / "scripts" / "export_witnesses.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], env=env, check=True, capture_output=True)
+    frozen = root / "bench" / "data"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(p.name for p in frozen.glob("*.json"))
+    assert len(names) == len(SCENARIOS)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (frozen / name).read_bytes(), name
 
 
 def test_deg4_witness_matches_triple_point_construction():

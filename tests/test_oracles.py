@@ -123,16 +123,23 @@ def test_brute_force_matches_enumeration_on_conics_and_cubics(degree):
         assert fast == slow
 
 
-def test_resolver_names_the_depth_cap():
-    # Contact 20 needs more blow-ups than the depth cap allows.
-    from delpezzo_lct.oracles import _MAX_DEPTH
+def test_resolver_names_the_depth_cap(monkeypatch):
+    # Contact 20 needs more blow-ups than a depth cap of 16 allows.
+    from delpezzo_lct import oracles
 
+    monkeypatch.setattr(oracles, "_MAX_DEPTH", 16)
     branches = {"A": ([0, 1], [0] * 20 + [1]), "B": ([0, 1], [0] * 20 + [-1])}
     with pytest.raises(ClusterError) as err:
         resolve_parametrized(branches)
-    assert str(err.value) == (
-        f"resolution did not terminate within the depth cap _MAX_DEPTH={_MAX_DEPTH}"
-    )
+    assert str(err.value) == "resolution did not terminate within the depth cap _MAX_DEPTH=16"
+
+
+@pytest.mark.parametrize("contact", [18, 20, 23])
+def test_resolver_separates_contact_below_its_order(contact):
+    # y = +-x^c agree through c terms; the depth cap follows _ORDER = 24,
+    # so they separate after c blow-ups.
+    branches = {"A": ([0, 1], [0] * contact + [1]), "B": ([0, 1], [0] * contact + [-1])}
+    assert len(resolve_parametrized(branches).nodes) == contact
 
 
 def test_resolver_names_coinciding_branches():
