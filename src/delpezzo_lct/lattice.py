@@ -102,7 +102,10 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        for c in coeffs:
+            if type(c) is not int:
+                raise LatticeError(f"class coefficient {c!r} is not an integer")
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != self.surface.rank:
             raise LatticeError(
@@ -178,66 +181,65 @@ def arithmetic_genus(c: DivisorClass) -> Fraction:
 def _vectors_with_sum_and_square(r: int, total: int, square: int) -> list[tuple[int, ...]]:
     """All integer vectors of length r with given sum and sum of squares.
 
-    Depth-first search; a partial assignment is pruned when the remaining
-    coordinates cannot satisfy Cauchy-Schwarz, (sum left)^2 <= (#left)*(square left).
+    Depth-first search that enters only branches the real relaxation can
+    complete.  With ``left`` coordinates still to place, sum s and square q
+    left, a value c leaves the other left - 1 coordinates Cauchy-Schwarz
+    feasible, (s - c)^2 <= (left - 1)(q - c^2), exactly when
+    (left*c - s)^2 <= D = (left - 1)(left*q - s^2), so c runs over
+    [ceil((s - isqrt(D))/left), floor((s + isqrt(D))/left)].  The last two
+    coordinates are solved directly: c1 + c2 = s and (c1 - c2)^2 = 2q - s^2.
+    Each level's c ascends and the tail emits (small, big) before
+    (big, small), so the output is duplicate-free and sorted
+    lexicographically without a sorting pass.
     """
-    if square < 0:
-        return []
+    if r == 0:
+        return [()] if total == square == 0 else []
+    if r == 1:
+        return [(total,)] if total * total == square else []
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
 
-    def rec(idx: int, s: int, q: int) -> None:
-        left = r - idx
-        if left == 0:
-            if s == 0 and q == 0:
-                out.append(tuple(prefix))
+    def rec(prefix: tuple[int, ...], left: int, s: int, q: int) -> None:
+        if left == 2:
+            e = 2 * q - s * s
+            if e < 0:
+                return
+            t = isqrt(e)
+            if t * t == e:
+                small, big = (s - t) // 2, (s + t) // 2  # t and s have one parity
+                out.append(prefix + (small, big))
+                if t:
+                    out.append(prefix + (big, small))
             return
-        if s * s > left * q:
+        disc = (left - 1) * (left * q - s * s)
+        if disc < 0:
             return
-        bound = isqrt(q)
-        for c in range(-bound, bound + 1):
-            q2 = q - c * c
-            if q2 < 0:
-                continue
-            prefix.append(c)
-            rec(idx + 1, s - c, q2)
-            prefix.pop()
+        t = isqrt(disc)
+        for c in range(-((t - s) // left), (s + t) // left + 1):
+            rec(prefix + (c,), left - 1, s - c, q - c * c)
 
-    rec(0, total, square)
+    rec((), r, total, square)
     return out
 
 
 def _blowup_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[DivisorClass]:
+    """The classes (a, c_1, ..., c_r) in lexicographic order."""
     r = surface.rank - 1
     d = surface.degree  # = 9 - r
-    if r == 0:
-        # P^2: the single coordinate a must satisfy 3a = deg and a^2 = self_int.
-        if deg % 3 == 0 and (deg // 3) ** 2 == self_int:
-            return [DivisorClass(surface, (deg // 3,))]
-        return []
-    # Finiteness bound.  Writing c = (a, c_1, ..., c_r), the constraints read
+    # Finiteness bound.  The constraints read
     #   3a + sum(c_i) = deg   and   a^2 - sum(c_i^2) = self_int.
     # Cauchy-Schwarz gives (sum c_i)^2 <= r * sum(c_i^2), i.e.
-    #   (deg - 3a)^2 <= r * (a^2 - self_int),
-    # a quadratic inequality in `a` with positive leading coefficient
-    # 9 - r = K^2 > 0, so `a` ranges over a finite interval and each c_i over
-    # |c_i| <= sqrt(a^2 - self_int).
+    #   d*a^2 - 6*deg*a + deg^2 + r*self_int <= 0,
+    # a quadratic inequality with positive leading coefficient d = K^2, so
+    # (2*d*a - 6*deg)^2 <= disc and `a` ranges over a finite interval.
     disc = 36 * deg * deg - 4 * d * (deg * deg + r * self_int)
     if disc < 0:
         return []
     sq = isqrt(disc)
-    lo = (6 * deg - sq) // (2 * d) - 1
-    hi = (6 * deg + sq) // (2 * d) + 2
-    found = []
-    for a in range(lo, hi + 1):
-        if d * a * a - 6 * deg * a + (deg * deg + r * self_int) > 0:
-            continue
-        square = a * a - self_int
-        if square < 0:
-            continue
-        for tail in _vectors_with_sum_and_square(r, deg - 3 * a, square):
-            found.append(DivisorClass(surface, (a,) + tail))
-    return found
+    return [
+        DivisorClass(surface, (a,) + tail)
+        for a in range(-((sq - 6 * deg) // (2 * d)), (6 * deg + sq) // (2 * d) + 1)
+        for tail in _vectors_with_sum_and_square(r, deg - 3 * a, a * a - self_int)
+    ]
 
 
 def _quadric_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[DivisorClass]:
@@ -253,7 +255,7 @@ def _quadric_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[Div
         return []
     c1 = (s + t) // 2
     sols = {(c1, s - c1), (s - c1, c1)}
-    return [DivisorClass(surface, pair) for pair in sols]
+    return [DivisorClass(surface, pair) for pair in sorted(sols)]
 
 
 def enumerate_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[DivisorClass]:
@@ -268,10 +270,8 @@ def enumerate_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[Di
     if 2 + self_int - deg != 0:  # p_a = 1 + (self_int - deg)/2
         return []
     if surface.basis_kind == QUADRIC:
-        found = _quadric_classes(surface, deg, self_int)
-    else:
-        found = _blowup_classes(surface, deg, self_int)
-    return sorted(set(found), key=lambda c: c.coeffs)
+        return _quadric_classes(surface, deg, self_int)
+    return _blowup_classes(surface, deg, self_int)
 
 
 def line_intersection_matrix(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
@@ -306,7 +306,11 @@ class LatticeIsometry:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = tuple(tuple(row) for row in self.matrix)
+        for row in m:
+            for x in row:
+                if type(x) is not int:
+                    raise LatticeError(f"isometry matrix entry {x!r} is not an integer")
         object.__setattr__(self, "matrix", m)
         n = self.surface.rank
         if len(m) != n or any(len(row) != n for row in m):
@@ -337,7 +341,8 @@ class LatticeIsometry:
     @classmethod
     def reflection(cls, surface: SurfaceModel, root: Sequence[int]) -> "LatticeIsometry":
         """Reflection c -> c + (c.v) v in a (-2)-root v orthogonal to K."""
-        return cls(surface, _word_matrix(surface, (DivisorClass(surface, root).coeffs,)))
+        support = _support(surface, DivisorClass(surface, root).coeffs)
+        return cls(surface, _word_matrix(surface, (support,)))
 
     @classmethod
     def cremona(cls, surface: SurfaceModel, i: int, j: int, k: int) -> "LatticeIsometry":
@@ -358,18 +363,35 @@ def _cremona_root(n: int, i: int, j: int, k: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _reflect(surface: SurfaceModel, c: tuple[int, ...], root: tuple[int, ...]) -> tuple[int, ...]:
-    """c + (c.v) v for a (-2)-root v: one pairing, O(rank)."""
-    t = surface.pairing(c, root)
-    return tuple(x + t * y for x, y in zip(c, root)) if t else c
+def _support(surface: SurfaceModel, root: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Reflection in ``root`` v as the triples (i, v_i, (Gv)_i) where v or Gv is non-zero.
+
+    A generator root has 2 or 4 non-zero entries, so pairing with v and
+    adding a multiple of v touch only these indices.
+    """
+    gv = _matvec(surface.gram, root)
+    return tuple((i, x, y) for i, (x, y) in enumerate(zip(root, gv)) if x or y)
+
+
+def _reflect(c: tuple[int, ...], support: tuple[tuple[int, int, int], ...]) -> tuple[int, ...]:
+    """c + (c.v) v for a (-2)-root v given by its ``_support``."""
+    t = 0
+    for i, _, w in support:
+        t += c[i] * w
+    if not t:
+        return c
+    image = list(c)
+    for i, x, _ in support:
+        image[i] += t * x
+    return tuple(image)
 
 
 def _word_matrix(surface: SurfaceModel, word) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the reflections in ``word``, the first one applied first."""
+    """Matrix of the reflections in ``word`` (supports), the first one applied first."""
     n = surface.rank
     cols = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    for root in word:
-        cols = [_reflect(surface, col, root) for col in cols]
+    for support in word:
+        cols = [_reflect(col, support) for col in cols]
     return tuple(zip(*cols))
 
 
@@ -389,6 +411,12 @@ def _generator_roots(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     for a, b, c in itertools.combinations(range(1, n), 3):
         roots.append(_cremona_root(n, a, b, c))
     return tuple(roots)
+
+
+@lru_cache(maxsize=None)
+def _generator_supports(surface: SurfaceModel) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """``_support`` of each of ``_generator_roots``, in the same order."""
+    return tuple(_support(surface, root) for root in _generator_roots(surface))
 
 
 def _word(parents: dict, state) -> list[int]:
@@ -433,22 +461,26 @@ def find_model_isometry(
         if s.degree != g.degree:
             raise LatticeError("no isometry exists: anticanonical degree is an invariant")
 
-    start = tuple(c.coeffs for c in sources)
-    goal = tuple(c.coeffs for c in goals)
+    # States hold doubled coefficients.  CPython hashes -1 like -2, and
+    # the classes searched are mostly -1 and -2 entries, so undoubled states
+    # collide by the hundreds in ``parents``; reflections are linear, so
+    # doubling changes neither the orbit nor the BFS order.
+    start = tuple(tuple(2 * x for x in c.coeffs) for c in sources)
+    goal = tuple(tuple(2 * x for x in c.coeffs) for c in goals)
     if start == goal:
         return LatticeIsometry.identity(surface)
-    roots = _generator_roots(surface)
+    supports = _generator_supports(surface)
     parents: dict = {start: None}  # state -> (parent state, root index)
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        for index, root in enumerate(roots):
-            new_state = tuple(_reflect(surface, vec, root) for vec in state)
+        for index, support in enumerate(supports):
+            new_state = tuple([_reflect(vec, support) for vec in state])
             if new_state in parents:
                 continue
             if new_state == goal:
                 word = _word(parents, state) + [index]
-                return LatticeIsometry(surface, _word_matrix(surface, (roots[i] for i in word)))
+                return LatticeIsometry(surface, _word_matrix(surface, (supports[i] for i in word)))
             parents[new_state] = (state, index)
             queue.append(new_state)
             if len(parents) > max_states:

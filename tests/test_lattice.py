@@ -1,5 +1,11 @@
 """Tests for surface models, divisor classes, enumeration and isometries."""
 
+import hashlib
+import itertools
+import re
+from fractions import Fraction
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +25,7 @@ from delpezzo_lct import (
     make_surface,
 )
 from delpezzo_lct.glct import class_A, class_C0, class_E, class_H, class_L, class_Q
+from delpezzo_lct.lattice import _vectors_with_sum_and_square
 
 
 def test_make_surface_blowup_degree4():
@@ -52,6 +59,15 @@ def test_make_surface_rejects_bad_degree(degree):
 def test_quadric_needs_degree_8():
     with pytest.raises(LatticeError):
         make_surface(4, QUADRIC)
+
+
+@pytest.mark.parametrize("bad", [Fraction(7, 2), 1.9, Fraction(2), 2.0, True])
+def test_divisor_class_rejects_non_integer_coefficients(bad):
+    # int() would truncate 7/2 to 3 and 1.9 to 1 and accept True as 1.
+    s = make_surface(4)
+    with pytest.raises(LatticeError, match=re.escape(f"coefficient {bad!r} is not an integer")):
+        DivisorClass(s, (0, bad, 0, 0, 0, 0))
+    assert DivisorClass(s, [0, 1, 0, 0, 0, 0]).coeffs == (0, 1, 0, 0, 0, 0)
 
 
 def test_intersect_examples():
@@ -176,6 +192,41 @@ def test_quadric_enumeration():
     assert [c.coeffs for c in rulings] == [(0, 1), (1, 0)]
 
 
+@pytest.mark.parametrize(
+    "degree,deg,self_int,count,digest",
+    [
+        (1, 1, -1, 240, "d834de0eecd9b171838a540700b2430d2f1a193fe12d5de517fa634aa4cac50c"),
+        (1, 2, 0, 2160, "89346c42f6c5c5b82cbc70805b5c235e5357750b2377f89d1dca6796f4353d7f"),
+        (1, 3, 1, 17520, "62aa676f171698439097406c5d39dbad6c1ebf9932eaf44a05d4868c9c28d26d"),
+        (1, 4, 2, 82560, "2f46f38f201a6ea22b45ffc6a89304e42ff23a914bcc410b7a85c251b16ab57e"),
+        (2, 6, 4, 16704, "b5567f38a563efadedc710d7f434e4165bb1ae7a82102c65bd850939dbc87fea"),
+    ],
+)
+def test_enumerate_large_rows_are_pinned(degree, deg, self_int, count, digest):
+    # sha256 of the coefficient list in canonical order, frozen so that a
+    # faster enumerator must return the same classes in the same order.
+    classes = enumerate_classes(make_surface(degree), deg, self_int)
+    assert len(classes) == count
+    coeffs = repr([c.coeffs for c in classes]).encode()
+    assert hashlib.sha256(coeffs).hexdigest() == digest
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_vectors_with_sum_and_square_match_brute_force(r):
+    for square in range(-1, 13):
+        bound = isqrt(max(square, 0))
+        grid = list(itertools.product(range(-bound, bound + 1), repeat=r))
+        for total in range(-6, 7):
+            expected = [
+                v for v in grid if sum(v) == total and sum(x * x for x in v) == square
+            ]
+            assert _vectors_with_sum_and_square(r, total, square) == expected, (
+                r,
+                total,
+                square,
+            )
+
+
 @settings(max_examples=60, deadline=None)
 @given(deg=st.integers(1, 4), self_int=st.integers(-3, 3), degree=st.integers(2, 7))
 def test_enumerate_agrees_with_brute_force(deg, self_int, degree):
@@ -247,6 +298,19 @@ class TestIsometries:
         bad = tuple(tuple(2 * int(i == j) for j in range(6)) for i in range(6))
         with pytest.raises(LatticeError):
             LatticeIsometry(s, bad)
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), 0.0, False])
+    def test_construction_rejects_non_integer_entries(self, bad):
+        # int() truncated 1.5 in a corner of the identity to 0, so the
+        # matrix passed the isometry check.
+        s = make_surface(4)
+        rows = [[int(i == j) for j in range(6)] for i in range(6)]
+        rows[0][5] = bad
+        with pytest.raises(LatticeError, match=re.escape(f"entry {bad!r} is not an integer")):
+            LatticeIsometry(s, rows)
+        floats = [[float(x) for x in row] for row in rows]
+        with pytest.raises(LatticeError, match="is not an integer"):
+            LatticeIsometry(s, floats)
 
     def test_find_model_isometry_c0_to_e1(self):
         s = make_surface(4)
