@@ -48,16 +48,24 @@ class InconsistentConfigError(ClusterError):
         )
 
 
-GERM_KINDS = (
-    "smooth_transverse",
-    "tacnode",
-    "node",
-    "cusp",
-    "tacnode_curve",
-    "ordinary",
-)
+# Germ kind -> (fixed branch count or None, template).  A template row is a
+# node (id, parent, proximities, multiplicity of every branch); the rows are
+# the minimal embedded-resolution cluster of the germ, and the power-series
+# resolver in `oracles` re-derives each one independently.
+_ROOT = ("n0", None, (), 1)
+_TANGENT = ("n1", "n0", ("n0",), 1)
+_CATALOGUE = {
+    "smooth_transverse": (None, (_ROOT,)),
+    "tacnode": (2, (_ROOT, _TANGENT)),
+    "node": (2, (_ROOT,)),
+    "cusp": (1, (("n0", None, (), 2), _TANGENT, ("n2", "n1", ("n1", "n0"), 1))),
+    "tacnode_curve": (2, (_ROOT, _TANGENT)),
+    "ordinary": (None, (_ROOT,)),
+}
 
-_FIXED_ARITY = {"tacnode": 2, "node": 2, "cusp": 1, "tacnode_curve": 2}
+GERM_KINDS = tuple(_CATALOGUE)
+
+_FIXED_ARITY = {kind: fixed for kind, (fixed, _) in _CATALOGUE.items() if fixed is not None}
 
 
 @dataclass(frozen=True)
@@ -101,26 +109,6 @@ class Germ:
         return cls("ordinary", m)
 
 
-# Germ templates: (parent index or None, proximities as indices, branch -> mult).
-# These are the minimal embedded-resolution clusters of the catalogued germs;
-# the power-series resolver in `oracles` re-derives each one independently.
-def _germ_template(germ: Germ) -> list[tuple[Optional[int], tuple[int, ...], dict[int, int]]]:
-    k = germ.branches
-    if germ.kind in ("smooth_transverse", "ordinary", "node"):
-        return [(None, (), {b: 1 for b in range(k)})]
-    if germ.kind in ("tacnode", "tacnode_curve"):
-        return [
-            (None, (), {0: 1, 1: 1}),
-            (0, (0,), {0: 1, 1: 1}),
-        ]
-    # cusp: `Germ` has already rejected every other kind
-    return [
-        (None, (), {0: 2}),
-        (0, (0,), {0: 1}),
-        (1, (1, 0), {0: 1}),
-    ]
-
-
 @dataclass(frozen=True)
 class ClusterNode:
     """One infinitely near point: parent, proximities, strict-transform mults."""
@@ -156,6 +144,18 @@ class WeightedCluster:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "component_ids", tuple(self.component_ids))
         self._validate()
+
+    @classmethod
+    def _derived(cls, nodes: tuple[ClusterNode, ...], component_ids: tuple[str, ...]) -> "WeightedCluster":
+        """A cluster derived from a valid one by a validity-preserving edit.
+
+        Input is validated once, by the public constructor; renaming and
+        blow-up slicing cannot break a valid cluster, so they skip it.
+        """
+        derived = object.__new__(cls)
+        object.__setattr__(derived, "nodes", nodes)
+        object.__setattr__(derived, "component_ids", component_ids)
+        return derived
 
     def _validate(self) -> None:
         if not self.nodes:
@@ -307,10 +307,7 @@ class WeightedCluster:
         return root.mult(component) - used
 
     def relabelled(self, prefix: str) -> "WeightedCluster":
-        """The same cluster with ``prefix`` before every node id.
-
-        Renaming preserves validity, so the result is not checked again.
-        """
+        """The same cluster with ``prefix`` before every node id."""
         ren = {n.id: f"{prefix}{n.id}" for n in self.nodes}
         nodes = tuple(
             ClusterNode(
@@ -321,10 +318,7 @@ class WeightedCluster:
             )
             for n in self.nodes
         )
-        renamed = object.__new__(WeightedCluster)
-        object.__setattr__(renamed, "nodes", nodes)
-        object.__setattr__(renamed, "component_ids", self.component_ids)
-        return renamed
+        return WeightedCluster._derived(nodes, self.component_ids)
 
 
 def canonical_form(cluster: WeightedCluster):
@@ -403,41 +397,35 @@ class ConfigPoint:
 
 
 def _compile_germ(point: ConfigPoint) -> WeightedCluster:
-    if isinstance(point.germ, WeightedCluster):
+    cluster = point.germ
+    if isinstance(cluster, WeightedCluster):
         if point.incident:
             raise ClusterError(
                 f"point {point.id!r}: explicit clusters carry their own incidence data"
             )
-        return point.germ.relabelled(f"{point.id}.")
-    germ = point.germ
+    else:
+        cluster = _instantiate(cluster, point)
+    return cluster.relabelled(f"{point.id}.")
+
+
+def _instantiate(germ: Germ, point: ConfigPoint) -> WeightedCluster:
+    """The germ's template with node ids n0, n1, ... and the point's branches."""
     slots = sorted(inc.branch for inc in point.incident)
     if slots != list(range(germ.branches)):
         raise ClusterError(
             f"point {point.id!r}: germ {germ.kind}({germ.branches}) needs branch "
             f"slots 0..{germ.branches - 1}, got {slots}"
         )
-    branch_to_comp = {inc.branch: inc.component for inc in point.incident}
-    template = _germ_template(germ)
-    ids = [f"{point.id}.n{i}" for i in range(len(template))]
-    nodes = []
-    for i, (parent_idx, prox_idx, branch_mults) in enumerate(template):
-        mults: dict[str, int] = {}
-        for b, m in branch_mults.items():
-            comp = branch_to_comp[b]
-            mults[comp] = mults.get(comp, 0) + m
-        nodes.append(
-            ClusterNode(
-                ids[i],
-                None if parent_idx is None else ids[parent_idx],
-                tuple(ids[t] for t in prox_idx),
-                mults,
-            )
-        )
-    comp_ids = []
-    for inc in point.incident:
-        if inc.component not in comp_ids:
-            comp_ids.append(inc.component)
-    return WeightedCluster(tuple(nodes), tuple(comp_ids))
+    # Branches per component, counted in branch order (the order of the mults).
+    branches: dict[str, int] = {}
+    for inc in sorted(point.incident, key=operator.attrgetter("branch")):
+        branches[inc.component] = branches.get(inc.component, 0) + 1
+    nodes = tuple(
+        ClusterNode(nid, parent, prox, {comp: m * k for comp, k in branches.items()})
+        for nid, parent, prox, m in _CATALOGUE[germ.kind][1]
+    )
+    comp_ids = tuple(dict.fromkeys(inc.component for inc in point.incident))
+    return WeightedCluster(nodes, comp_ids)
 
 
 def _compile_point(point: ConfigPoint, known_components: set[str]) -> WeightedCluster:
@@ -600,20 +588,14 @@ def local_intersection(cfg: DivisorConfiguration, point_id: str, comp_i: str, co
     cluster = cfg.cluster_at(point_id)
     for comp in (comp_i, comp_j):
         cfg.component(comp)
-        if comp not in cluster.component_ids or all(
-            n.mult(comp) == 0 for n in cluster.nodes
-        ):
+        if not cluster.root.mult(comp):
             raise ClusterError(f"component {comp!r} does not pass through {point_id!r}")
     return cluster.local_intersection_pair(comp_i, comp_j)
 
 
 def _incident_components(cfg: DivisorConfiguration, point_id: str) -> list[str]:
-    cluster = cfg.cluster_at(point_id)
-    return [
-        c.id
-        for c in cfg.components
-        if c.id in cluster.component_ids and any(n.mult(c.id) for n in cluster.nodes)
-    ]
+    root = cfg.cluster_at(point_id).root
+    return [c.id for c in cfg.components if root.mult(c.id)]
 
 
 def _point_rows(cfg: DivisorConfiguration, point_id: str) -> list[CertificateRow]:
@@ -711,12 +693,7 @@ def scale_configuration(cfg: DivisorConfiguration, lam: Fraction) -> DivisorConf
     lam = Fraction(lam)
     if lam <= 0:
         raise ClusterError("scaling factor must be positive")
-    return DivisorConfiguration(
-        cfg.surface,
-        tuple(Component(c.id, c.cls, lam * c.coeff) for c in cfg.components),
-        cfg.points,
-        allow_signed=cfg.allow_signed,
-    )
+    return with_coefficients(cfg, {c.id: lam * c.coeff for c in cfg.components})
 
 
 def with_coefficients(
@@ -734,7 +711,11 @@ def with_coefficients(
 
 
 def _subtree_point(cluster: WeightedCluster, child_id: str, exc_id: str) -> ConfigPoint:
-    """The marked point on E under the direction ``child_id`` of the root."""
+    """The marked point on E under the direction ``child_id`` of the root.
+
+    The slice of a valid cluster is valid: E's strict transform passes
+    through the chain of nodes proximate to the root, once each.
+    """
     root_id = cluster.root.id
     keep = {child_id}
     order = []
@@ -742,9 +723,7 @@ def _subtree_point(cluster: WeightedCluster, child_id: str, exc_id: str) -> Conf
         if node.id == child_id or (node.parent in keep):
             keep.add(node.id)
             order.append(node)
-    comp_ids = [
-        c for c in cluster.component_ids if any(n.mult(c) for n in order)
-    ]
+    comp_ids = [c for c in cluster.component_ids if order[0].mult(c)]
     nodes = []
     for node in order:
         mults = {c: node.mult(c) for c in comp_ids if node.mult(c)}
@@ -757,7 +736,7 @@ def _subtree_point(cluster: WeightedCluster, child_id: str, exc_id: str) -> Conf
             prox = ()
         nodes.append(ClusterNode(node.id, parent, prox, mults))
     return ConfigPoint(
-        child_id, WeightedCluster(tuple(nodes), tuple(comp_ids) + (exc_id,)), ()
+        child_id, WeightedCluster._derived(tuple(nodes), tuple(comp_ids) + (exc_id,))
     )
 
 
@@ -782,8 +761,7 @@ def transform_by_blowup(cfg: DivisorConfiguration, point_id: str) -> DivisorConf
 
     new_components = []
     for comp in cfg.components:
-        m = root.mult(comp.id) if comp.id in cluster.component_ids else 0
-        coeffs = comp.cls.coeffs + (-m,)
+        coeffs = comp.cls.coeffs + (-root.mult(comp.id),)
         new_components.append(Component(comp.id, DivisorClass(new_surface, coeffs), comp.coeff))
     e_coeffs = tuple([0] * e_idx + [1])
     new_components.append(

@@ -221,6 +221,13 @@ def _vectors_with_sum_and_square(r: int, total: int, square: int) -> list[tuple[
     return out
 
 
+def _require_finite_class_sets(surface: SurfaceModel) -> None:
+    if surface.degree == 0:
+        raise LatticeError(
+            "K^2 = 0: the classes of a given degree and self-intersection are not a finite set"
+        )
+
+
 def _blowup_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[DivisorClass]:
     """The classes (a, c_1, ..., c_r) in lexicographic order."""
     r = surface.rank - 1
@@ -269,6 +276,7 @@ def enumerate_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[Di
         raise LatticeError(f"anticanonical degree must be >= 1, got {deg}")
     if 2 + self_int - deg != 0:  # p_a = 1 + (self_int - deg)/2
         return []
+    _require_finite_class_sets(surface)
     if surface.basis_kind == QUADRIC:
         return _quadric_classes(surface, deg, self_int)
     return _blowup_classes(surface, deg, self_int)

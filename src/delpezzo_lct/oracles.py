@@ -22,7 +22,7 @@ from math import isqrt as _isqrt
 from typing import Optional, Sequence
 
 from .clusters import ClusterError, ClusterNode, Germ, WeightedCluster
-from .lattice import QUADRIC, DivisorClass, SurfaceModel
+from .lattice import QUADRIC, DivisorClass, SurfaceModel, _require_finite_class_sets
 
 
 # ---------------------------------------------------------------------------
@@ -41,11 +41,13 @@ def _half_table(bound: int, ncoords: int):
 def brute_force_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[DivisorClass]:
     """Exhaustive class search by joining two half-coordinate tables.
 
-    Shares only the finiteness interval for the H-coefficient with the main
-    enumerator; the E-coordinate search is a plain table join over boxes.
+    Shares only the finiteness interval for the H-coefficient, and the
+    refusal of K^2 = 0 where there is none, with the main enumerator; the
+    E-coordinate search is a plain table join over boxes.
     """
     if 2 + self_int - deg != 0:
         return []
+    _require_finite_class_sets(surface)
     if surface.basis_kind == QUADRIC:
         found = []
         bound = abs(deg) + abs(self_int) + 2
@@ -279,15 +281,16 @@ def _unresolved(curves: list[_Curve]) -> ClusterError:
     )
 
 
-def resolve_branches(branches: dict, prefix: str = "n"):
+def resolve_branches(branches: dict):
     """Resolve parametrized branches to a weighted cluster, from scratch.
 
     ``branches`` maps a branch key to a pair of coefficient sequences
     (x(t), y(t)).  Returns (nodes, branch_mults) where nodes is a list of
-    (node id, parent id, proximities) in creation order and branch_mults
-    maps node id -> branch key -> multiplicity.  The root is always blown
-    up; afterwards a point is blown up exactly while the union of branches
-    and exceptional curves fails to be simple normal crossings there.
+    (node id, parent id, proximities) in creation order, with ids n0, n1,
+    ..., and branch_mults maps node id -> branch key -> multiplicity.  The
+    root is always blown up; afterwards a point is blown up exactly while
+    the union of branches and exceptional curves fails to be simple normal
+    crossings there.
     """
     curves = [_Curve(("b", key), _series(x), _series(y)) for key, (x, y) in branches.items()]
     nodes: list[tuple[str, Optional[str], tuple[str, ...]]] = []
@@ -297,7 +300,7 @@ def resolve_branches(branches: dict, prefix: str = "n"):
     def blow(cur: list[_Curve], parent: Optional[str], depth: int) -> None:
         if depth > _MAX_DEPTH:
             raise _unresolved(cur)
-        node_id = f"{prefix}{next(counter)}"
+        node_id = f"n{next(counter)}"
         prox = tuple(c.tag[1] for c in cur if c.tag[0] == "e")
         nodes.append((node_id, parent, prox))
         mults[node_id] = {c.tag[1]: c.mult() for c in cur if c.tag[0] == "b"}
@@ -332,13 +335,13 @@ def _germ_parametrizations(germ: Germ) -> dict:
     raise ClusterError(f"unknown germ kind {germ.kind!r}")
 
 
-def resolve_germ(germ: Germ, branch_to_component: dict[int, str], prefix: str = "n") -> WeightedCluster:
+def resolve_germ(germ: Germ, branch_to_component: dict[int, str]) -> WeightedCluster:
     """Resolve a catalogued germ from explicit parametrizations.
 
     Produces a WeightedCluster comparable (via ``canonical_form``) with the
     template the main engine instantiates.
     """
-    nodes, branch_mults = resolve_branches(_germ_parametrizations(germ), prefix)
+    nodes, branch_mults = resolve_branches(_germ_parametrizations(germ))
     comp_ids: list[str] = []
     for b in sorted(branch_to_component):
         comp = branch_to_component[b]
@@ -354,9 +357,9 @@ def resolve_germ(germ: Germ, branch_to_component: dict[int, str], prefix: str = 
     return WeightedCluster(tuple(cluster_nodes), tuple(comp_ids))
 
 
-def resolve_parametrized(branches: dict[str, tuple], prefix: str = "n") -> WeightedCluster:
+def resolve_parametrized(branches: dict[str, tuple]) -> WeightedCluster:
     """Resolve branches keyed directly by component id (one branch each)."""
-    nodes, branch_mults = resolve_branches(dict(branches), prefix)
+    nodes, branch_mults = resolve_branches(dict(branches))
     cluster_nodes = []
     for node_id, parent, prox in nodes:
         cluster_nodes.append(ClusterNode(node_id, parent, prox, dict(branch_mults[node_id])))

@@ -15,6 +15,7 @@ from delpezzo_lct import (
     Germ,
     Incidence,
     InconsistentConfigError,
+    LatticeError,
     WeightedCluster,
     compile_configuration,
     is_log_canonical,
@@ -468,7 +469,7 @@ class TestTransform:
                 ),
             ),
         )
-        with pytest.raises(Exception):
+        with pytest.raises(LatticeError, match="only blow-up basis surfaces can be blown up"):
             transform_by_blowup(cfg, "p")
 
 
@@ -553,3 +554,38 @@ def test_certificate_rows_match_divisor_valuation_reference():
             want = frozenset(pid for pid, _, k, v, _ in rows if mu * v - k >= 1)
             assert non_klt_locus(c, mu)[1] == want
     assert signed >= 20
+
+
+def test_derived_clusters_pass_the_checking_constructor():
+    """Renamed and blow-up-sliced clusters skip validation; each is still valid."""
+    rng = random.Random("derived-clusters")
+    checked = signed = 0
+    for _ in range(300):
+        cfg = _random_point_config(rng)
+        lam = Fraction(rng.randint(1, 10), rng.randint(3, 9))
+        once = transform_by_blowup(scale_configuration(cfg, lam), "p")
+        family = [cfg, once] + [transform_by_blowup(once, p.id) for p in once.points]
+        for c in family:
+            signed += any(comp.coeff < 0 for comp in c.components)
+            for p in c.points:
+                cluster = c.cluster_at(p.id)
+                WeightedCluster(cluster.nodes, cluster.component_ids)
+                checked += 1
+    assert signed >= 150
+    assert checked >= 4000
+
+
+def test_derived_configurations_do_not_revalidate_clusters(monkeypatch):
+    cfg = plane_config(Germ.cusp(), {0: "c"})
+
+    def refuse(self):
+        raise AssertionError("a derived cluster was validated again")
+
+    monkeypatch.setattr(WeightedCluster, "_validate", refuse)
+    scaled = scale_configuration(cfg, Fraction(5, 6))
+    with_coefficients(scaled, {"c": Fraction(1, 3)})
+    once = transform_by_blowup(scaled, "p")
+    twice = transform_by_blowup(once, once.points[0].id)
+    assert sorted(c.coeff for c in twice.components) == [
+        Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)
+    ]

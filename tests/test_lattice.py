@@ -257,6 +257,23 @@ def test_line_intersection_matrix_requires_low_degree():
         line_intersection_matrix(make_surface(8, QUADRIC))
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda s: enumerate_classes(s, 1, -1),
+        lambda s: enumerate_classes(s, 3, 1),
+        lambda s: brute_force_classes(s, 1, -1),
+        lambda s: brute_force_classes(s, 2, 0),
+        line_intersection_matrix,
+    ],
+    ids=["enumerate_lines", "enumerate_cubics", "brute_lines", "brute_conics", "line_matrix"],
+)
+def test_class_sets_are_refused_on_k_squared_zero(query):
+    # The blow-up of a degree-1 surface has K^2 = 0; its class sets are infinite.
+    with pytest.raises(LatticeError, match=r"K\^2 = 0: .* not a finite set"):
+        query(make_surface(1).blow_up())
+
+
 PINNED_DEG4_C0_TO_E1 = (
     (3, 2, 1, 1, 1, 1),
     (-2, -1, -1, -1, -1, -1),
