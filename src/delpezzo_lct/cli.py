@@ -12,15 +12,9 @@ import json
 import sys
 
 from . import clusters, glct, properties
-from .clusters import ClusterError, InconsistentConfigError
-from .configio import (
-    ConfigSchemaError,
-    ConfigSyntaxError,
-    certificate_to_json_obj,
-    certificate_to_text,
-    parse_config_file,
-)
-from .lattice import LatticeError, enumerate_classes, make_surface
+from .clusters import InconsistentConfigError
+from .configio import certificate_to_json_obj, certificate_to_text, parse_config_file
+from .lattice import enumerate_classes, make_surface
 from .rationals import format_rational, parse_rational
 from .report import Report
 
@@ -35,8 +29,8 @@ def _dump_json(obj) -> str:
 
 
 def _corollary(seed: int, cases: int) -> Report:
-    results = glct.verify_corollary().results + glct.verify_complementary_sections().results
-    return Report("corollary", results)
+    reports = (glct.verify_corollary(), glct.verify_complementary_sections())
+    return Report.merged("corollary", reports)
 
 
 # Every suite `verify --suite` runs, in `--suite all` order: name -> runner(seed, cases).
@@ -48,6 +42,16 @@ SUITES = {
     "corollary": _corollary,
     "properties": properties.run_property_suites,
 }
+
+
+def _case_count(text: str) -> int:
+    try:
+        cases = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cases < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cases}")
+    return cases
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,18 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=int, default=1000)
+    p_verify.add_argument("--cases", type=_case_count, default=1000)
     p_verify.add_argument("--json", action="store_true")
     return parser
 
 
 def _cmd_classes(args) -> int:
-    try:
-        surface = make_surface(args.degree, args.basis)
-        classes = enumerate_classes(surface, args.deg, args.self_int)
-    except LatticeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    surface = make_surface(args.degree, args.basis)
+    classes = enumerate_classes(surface, args.deg, args.self_int)
     if args.json:
         obj = {
             "surface": {"degree": surface.degree, "basis": surface.basis_kind},
@@ -102,34 +102,10 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_lct(args) -> int:
-    try:
-        cfg = parse_config_file(args.config)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.config}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigSyntaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except InconsistentConfigError as e:
-        print(f"error: inconsistent intersections: {e}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except (ConfigSchemaError, ClusterError, LatticeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-
-    lam = None
-    if args.lam is not None:
-        try:
-            lam = parse_rational(args.lam)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        if args.point is not None:
-            cfg.point(args.point)
-    except ClusterError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = parse_config_file(args.config)
+    lam = None if args.lam is None else parse_rational(args.lam)
+    if args.point is not None:
+        cfg.point(args.point)
 
     if lam is not None:
         verdict, cert = clusters.is_log_canonical(cfg, lam, args.point)
@@ -166,14 +142,30 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NEGATIVE
 
 
+def _fail(message: str, code: int = EXIT_USAGE) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "classes":
-        return _cmd_classes(args)
-    if args.command == "lct":
-        return _cmd_lct(args)
-    return _cmd_verify(args)
+    args = _build_parser().parse_args(argv)
+    if args.command == "verify":
+        return _cmd_verify(args)
+    # The one boundary for bad input.  Every error the package raises for
+    # it is a ValueError (ClusterError, LatticeError, ConfigSyntaxError,
+    # ConfigSchemaError, a malformed --lambda); only `lct` reads a file.
+    try:
+        return _cmd_classes(args) if args.command == "classes" else _cmd_lct(args)
+    except InconsistentConfigError as e:
+        return _fail(f"inconsistent intersections: {e}", EXIT_INCONSISTENT)
+    except FileNotFoundError:
+        return _fail(f"no such file: {args.config}")
+    except OSError as e:
+        return _fail(f"cannot read {args.config}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        return _fail(f"cannot read {args.config}: {e}")
+    except ValueError as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .lattice import DivisorClass, SurfaceModel
 
@@ -122,7 +122,7 @@ class ClusterNode:
         object.__setattr__(self, "proximate_to", tuple(self.proximate_to))
         object.__setattr__(self, "mults", dict(self.mults))
         for comp, m in self.mults.items():
-            if not isinstance(m, int) or m < 0:
+            if type(m) is not int or m < 0:
                 raise ClusterError(f"multiplicity of {comp!r} at {self.id!r} must be a nonnegative integer")
 
     def mult(self, component: str) -> int:
@@ -146,14 +146,29 @@ class WeightedCluster:
         self._validate()
 
     @classmethod
-    def _derived(cls, nodes: tuple[ClusterNode, ...], component_ids: tuple[str, ...]) -> "WeightedCluster":
+    def _derived(
+        cls,
+        rows: Iterable[tuple[str, Optional[str], tuple[str, ...], Mapping[str, int]]],
+        component_ids: tuple[str, ...],
+    ) -> "WeightedCluster":
         """A cluster derived from a valid one by a validity-preserving edit.
 
-        Input is validated once, by the public constructor; renaming and
-        blow-up slicing cannot break a valid cluster, so they skip it.
+        ``rows`` are (id, parent, proximities, mults), taken as they are:
+        nodes never mutate their mults, so a rename shares them.  Input is
+        checked once, node by node and as a whole, by the public
+        constructors; renaming and blow-up slicing cannot break a valid
+        cluster, so neither check runs again here.
         """
+        nodes = []
+        for nid, parent, prox, mults in rows:
+            node = object.__new__(ClusterNode)
+            object.__setattr__(node, "id", nid)
+            object.__setattr__(node, "parent", parent)
+            object.__setattr__(node, "proximate_to", prox)
+            object.__setattr__(node, "mults", mults)
+            nodes.append(node)
         derived = object.__new__(cls)
-        object.__setattr__(derived, "nodes", nodes)
+        object.__setattr__(derived, "nodes", tuple(nodes))
         object.__setattr__(derived, "component_ids", component_ids)
         return derived
 
@@ -309,8 +324,8 @@ class WeightedCluster:
     def relabelled(self, prefix: str) -> "WeightedCluster":
         """The same cluster with ``prefix`` before every node id."""
         ren = {n.id: f"{prefix}{n.id}" for n in self.nodes}
-        nodes = tuple(
-            ClusterNode(
+        rows = (
+            (
                 ren[n.id],
                 None if n.parent is None else ren[n.parent],
                 tuple(ren[a] for a in n.proximate_to),
@@ -318,7 +333,7 @@ class WeightedCluster:
             )
             for n in self.nodes
         )
-        return WeightedCluster._derived(nodes, self.component_ids)
+        return WeightedCluster._derived(rows, self.component_ids)
 
 
 def canonical_form(cluster: WeightedCluster):
@@ -724,7 +739,7 @@ def _subtree_point(cluster: WeightedCluster, child_id: str, exc_id: str) -> Conf
             keep.add(node.id)
             order.append(node)
     comp_ids = [c for c in cluster.component_ids if order[0].mult(c)]
-    nodes = []
+    rows = []
     for node in order:
         mults = {c: node.mult(c) for c in comp_ids if node.mult(c)}
         on_e = root_id in node.proximate_to
@@ -734,9 +749,9 @@ def _subtree_point(cluster: WeightedCluster, child_id: str, exc_id: str) -> Conf
         parent = None if node.id == child_id else node.parent
         if parent is None:
             prox = ()
-        nodes.append(ClusterNode(node.id, parent, prox, mults))
+        rows.append((node.id, parent, prox, mults))
     return ConfigPoint(
-        child_id, WeightedCluster._derived(tuple(nodes), tuple(comp_ids) + (exc_id,))
+        child_id, WeightedCluster._derived(rows, tuple(comp_ids) + (exc_id,))
     )
 
 

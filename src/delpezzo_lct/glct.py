@@ -136,94 +136,69 @@ def scenario(variant: str) -> GlctScenario:
         raise KeyError(f"unknown scenario {variant!r}") from None
 
 
+def _through(pid: str, germ: Germ, comp_ids: Sequence[str]) -> ConfigPoint:
+    """A point whose germ's branch slots 0, 1, ... lie on ``comp_ids``, in order."""
+    return ConfigPoint(pid, germ, tuple(Incidence(c, n) for n, c in enumerate(comp_ids)))
+
+
 def _transverse_point(pid: str, comp_a: str, comp_b: str) -> ConfigPoint:
-    return ConfigPoint(pid, Germ.smooth(2), (Incidence(comp_a, 0), Incidence(comp_b, 1)))
+    return _through(pid, Germ.smooth(2), (comp_a, comp_b))
+
+
+def _ordinary_point(s: SurfaceModel, comps: Sequence[Component]) -> DivisorConfiguration:
+    """All of ``comps``, one smooth branch each, through one ordinary point p."""
+    point = _through("p", Germ.ordinary(len(comps)), [c.id for c in comps])
+    return DivisorConfiguration(s, tuple(comps), (point,))
+
+
+# Rows witnessed by one anticanonical curve C with this germ at p.
+_ANTICANONICAL_GERMS = {
+    "deg2_tacnodal": Germ.tacnode_curve(),
+    "deg2_no_tacnodal": Germ.cusp(),
+    "deg1_cuspidal": Germ.cusp(),
+    "deg1_no_cusp": Germ.node(),
+}
 
 
 def _witness_config(sc: GlctScenario) -> DivisorConfiguration:
     s = SurfaceModel(sc.degree, sc.basis_kind)
-    one = Fraction(1)
     if sc.variant == "deg9":
-        return DivisorConfiguration(
-            s, (Component("L", class_H(s), Fraction(3)),), ()
-        )
+        return DivisorConfiguration(s, (Component("L", class_H(s), 3),), ())
     if sc.variant == "deg8_F1":
-        comps = (
-            Component("B", class_B(s, 1), Fraction(3)),
-            Component("E1", class_E(s, 1), Fraction(2)),
-        )
+        comps = (Component("B", class_B(s, 1), 3), Component("E1", class_E(s, 1), 2))
         return DivisorConfiguration(s, comps, (_transverse_point("p", "B", "E1"),))
     if sc.variant == "deg8_quadric":
         comps = (
-            Component("f1", DivisorClass(s, (1, 0)), Fraction(2)),
-            Component("f2", DivisorClass(s, (0, 1)), Fraction(2)),
+            Component("f1", DivisorClass(s, (1, 0)), 2),
+            Component("f2", DivisorClass(s, (0, 1)), 2),
         )
         return DivisorConfiguration(s, comps, (_transverse_point("p", "f1", "f2"),))
     if sc.variant == "deg7":
         comps = (
-            Component("L12", class_L(s, 1, 2), Fraction(3)),
-            Component("E1", class_E(s, 1), Fraction(2)),
-            Component("E2", class_E(s, 2), Fraction(2)),
+            Component("L12", class_L(s, 1, 2), 3),
+            Component("E1", class_E(s, 1), 2),
+            Component("E2", class_E(s, 2), 2),
         )
-        points = (
-            _transverse_point("p1", "L12", "E1"),
-            _transverse_point("p2", "L12", "E2"),
-        )
+        points = (_transverse_point("p1", "L12", "E1"), _transverse_point("p2", "L12", "E2"))
         return DivisorConfiguration(s, comps, points)
     if sc.variant in ("deg5", "deg6"):
-        comps = [Component("E1", class_E(s, 1), Fraction(2))]
-        others = []
-        if sc.variant == "deg5":
-            others = [("L12", class_L(s, 1, 2)), ("L13", class_L(s, 1, 3)), ("L14", class_L(s, 1, 4))]
-        else:
-            others = [("L12", class_L(s, 1, 2)), ("L13", class_L(s, 1, 3)), ("B1", class_B(s, 1))]
-        comps += [Component(name, cls, one) for name, cls in others]
-        points = tuple(
-            _transverse_point(f"p{n}", name, "E1") for n, (name, _) in enumerate(others, 1)
-        )
-        return DivisorConfiguration(s, tuple(comps), points)
-    if sc.variant == "deg4":
-        comps = (
-            Component("E1", class_E(s, 1), one),
-            Component("L12", class_L(s, 1, 2), one),
-            Component("A2", class_A(s, 2), one),
-        )
-        point = ConfigPoint(
-            "p",
-            Germ.ordinary(3),
-            (Incidence("E1", 0), Incidence("L12", 1), Incidence("A2", 2)),
-        )
-        return DivisorConfiguration(s, comps, (point,))
-    if sc.variant == "deg3_eckardt":
-        third = -s.canonical - class_E(s, 1) - class_L(s, 1, 2)
-        comps = (
-            Component("L1", class_E(s, 1), one),
-            Component("L2", class_L(s, 1, 2), one),
-            Component("L3", third, one),
-        )
-        point = ConfigPoint(
-            "p",
-            Germ.ordinary(3),
-            (Incidence("L1", 0), Incidence("L2", 1), Incidence("L3", 2)),
-        )
-        return DivisorConfiguration(s, comps, (point,))
+        last = ("L14", class_L(s, 1, 4)) if sc.variant == "deg5" else ("B1", class_B(s, 1))
+        others = (("L12", class_L(s, 1, 2)), ("L13", class_L(s, 1, 3)), last)
+        comps = (Component("E1", class_E(s, 1), 2),) + tuple(Component(n, c, 1) for n, c in others)
+        points = tuple(_transverse_point(f"p{n}", name, "E1") for n, (name, _) in enumerate(others, 1))
+        return DivisorConfiguration(s, comps, points)
     if sc.variant == "deg3_no_eckardt":
-        comps = (
-            Component("L", class_E(s, 1), one),
-            Component("Q", -s.canonical - class_E(s, 1), one),
-        )
-        point = ConfigPoint("p", Germ.tacnode(), (Incidence("L", 0), Incidence("Q", 1)))
-        return DivisorConfiguration(s, comps, (point,))
-    anticanonical = Component("C", -s.canonical, one)
-    if sc.variant == "deg2_tacnodal":
-        point = ConfigPoint("p", Germ.tacnode_curve(), (Incidence("C", 0), Incidence("C", 1)))
-    elif sc.variant in ("deg2_no_tacnodal", "deg1_cuspidal"):
-        point = ConfigPoint("p", Germ.cusp(), (Incidence("C", 0),))
-    elif sc.variant == "deg1_no_cusp":
-        point = ConfigPoint("p", Germ.node(), (Incidence("C", 0), Incidence("C", 1)))
-    else:
-        raise KeyError(f"unknown scenario {sc.variant!r}")
-    return DivisorConfiguration(s, (anticanonical,), (point,))
+        comps = (Component("L", class_E(s, 1), 1), Component("Q", -s.canonical - class_E(s, 1), 1))
+        return DivisorConfiguration(s, comps, (_through("p", Germ.tacnode(), ("L", "Q")),))
+    if sc.variant in ("deg4", "deg3_eckardt"):
+        # E1, L12 and the residual -K - E1 - L12 (on the degree-4 surface the
+        # conic A2) through one ordinary triple point.
+        names = ("E1", "L12", "A2") if sc.variant == "deg4" else ("L1", "L2", "L3")
+        classes = (class_E(s, 1), class_L(s, 1, 2), -s.canonical - class_E(s, 1) - class_L(s, 1, 2))
+        return _ordinary_point(s, [Component(n, c, 1) for n, c in zip(names, classes)])
+    germ = _ANTICANONICAL_GERMS[sc.variant]
+    point = _through("p", germ, ["C"] * germ.branches)
+    return DivisorConfiguration(s, (Component("C", -s.canonical, 1),), (point,))
 
 
 def witness(which: Union[str, GlctScenario]) -> WitnessRecord:
@@ -232,6 +207,10 @@ def witness(which: Union[str, GlctScenario]) -> WitnessRecord:
     cfg = _witness_config(sc)
     tag = "explicit" if sc.variant in _EXPLICIT_CONSTRUCTIONS else "derived"
     return WitnessRecord(sc, cfg, {c.id: tag for c in cfg.components})
+
+
+def _equal(check_id: str, want, got, show=format_rational) -> CheckResult:
+    return CheckResult(check_id, show(want), show(got), got == want)
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +236,9 @@ def verify_table1() -> Report:
     results = []
     for row_id, builder, want_deg, want_self in _TABLE_ROWS:
         cls = builder(s)
-        got = (cls.degree, cls.self_intersection)
+        want = f"deg={want_deg},self={want_self}"
         results.append(
-            CheckResult(
-                f"table1.{row_id}",
-                f"deg={want_deg},self={want_self}",
-                f"deg={got[0]},self={got[1]}",
-                got == (want_deg, want_self),
-            )
+            _equal(f"table1.{row_id}", want, f"deg={cls.degree},self={cls.self_intersection}", str)
         )
     return Report("table1", tuple(results))
 
@@ -327,37 +301,27 @@ def verify_lines() -> Report:
             )
         )
     quadric = make_surface(8, QUADRIC)
-    results.append(
-        CheckResult(
-            "lines.count.degree8_quadric",
-            "0",
-            str(len(enumerate_classes(quadric, 1, -1))),
-            len(enumerate_classes(quadric, 1, -1)) == 0,
-        )
-    )
-    s4 = make_surface(4)
-    lines = enumerate_classes(s4, 1, -1)
+    results.append(_equal("lines.count.degree8_quadric", 0, len(enumerate_classes(quadric, 1, -1))))
+    lines = enumerate_classes(make_surface(4), 1, -1)
     names = [_deg4_line_name(c) for c in lines]
-    mismatches = 0
-    for i, j in itertools.product(range(16), repeat=2):
-        if lines[i].dot(lines[j]) != _deg4_expected_pairing(names[i], names[j]):
-            mismatches += 1
+    matches = sum(
+        lines[i].dot(lines[j]) == _deg4_expected_pairing(names[i], names[j])
+        for i, j in itertools.product(range(16), repeat=2)
+    )
     results.append(
-        CheckResult(
-            "lines.deg4_matrix",
-            "256/256 entries match",
-            f"{256 - mismatches}/256 entries match",
-            mismatches == 0,
-        )
+        _equal("lines.deg4_matrix", 256, matches, show=lambda n: f"{n}/256 entries match")
     )
     return Report("lines", tuple(results))
 
 
 # ---------------------------------------------------------------------------
-# Suite: auxiliary divisor family G (degree 4)
+# Suites: auxiliary divisor families G and H (degree 4)
 
 
 _LAMBDA = Fraction(2, 3)
+# Every component of an auxiliary divisor of family G has degree <= 2, of
+# family H degree <= 3.
+_G_DEGREE_BOUND, _H_DEGREE_BOUND = 2, 3
 
 
 def _sum_check(check_id: str, cfg: DivisorConfiguration) -> CheckResult:
@@ -367,36 +331,34 @@ def _sum_check(check_id: str, cfg: DivisorConfiguration) -> CheckResult:
     return CheckResult(check_id, f"classes sum to {want}", f"{tuple(map(format_rational, got))}", ok)
 
 
-def _deg_bound_check(check_id: str, cfg: DivisorConfiguration, bound: int) -> CheckResult:
+def _standard_checks(cid: str, cfg: DivisorConfiguration, bound: int) -> list[CheckResult]:
+    """The classes sum to -K, every degree is <= ``bound``, lc at 2/3."""
     degs = {c.id: c.cls.degree for c in cfg.components}
-    ok = all(d <= bound for d in degs.values())
-    return CheckResult(check_id, f"all component degrees <= {bound}", str(degs), ok)
-
-
-def _lc_check(check_id: str, cfg: DivisorConfiguration, lam: Fraction) -> CheckResult:
-    verdict, cert = clusters.is_log_canonical(cfg, lam)
-    return CheckResult(
-        check_id,
-        f"log canonical at {format_rational(lam)}",
-        f"lc={verdict} (lct={format_rational(cert.lct)})",
-        verdict,
-    )
+    verdict, cert = clusters.is_log_canonical(cfg, _LAMBDA)
+    return [
+        _sum_check(f"{cid}.anticanonical", cfg),
+        CheckResult(
+            f"{cid}.degrees",
+            f"all component degrees <= {bound}",
+            str(degs),
+            all(d <= bound for d in degs.values()),
+        ),
+        CheckResult(
+            f"{cid}.lc",
+            f"log canonical at {format_rational(_LAMBDA)}",
+            f"lc={verdict} (lct={format_rational(cert.lct)})",
+            verdict,
+        ),
+    ]
 
 
 def _lemma_g_case1(tangential: bool) -> DivisorConfiguration:
     s = make_surface(4)
-    comps = (
-        Component("A1", class_A(s, 1), Fraction(1)),
-        Component("B1", class_B(s, 1), Fraction(1)),
-    )
+    comps = (Component("A1", class_A(s, 1), 1), Component("B1", class_B(s, 1), 1))
     if tangential:
-        point = ConfigPoint("p", Germ.tacnode(), (Incidence("A1", 0), Incidence("B1", 1)))
-        points: tuple[ConfigPoint, ...] = (point,)
+        points = (_through("p", Germ.tacnode(), ("A1", "B1")),)
     else:
-        points = (
-            _transverse_point("p", "A1", "B1"),
-            _transverse_point("q", "A1", "B1"),
-        )
+        points = (_transverse_point("p", "A1", "B1"), _transverse_point("q", "A1", "B1"))
     return DivisorConfiguration(s, comps, points)
 
 
@@ -406,40 +368,25 @@ def _lemma_g_case2() -> DivisorConfiguration:
     comps = [Component(f"A{j}", class_A(s, j), third) for j in range(2, 6)]
     comps.append(Component("B1", class_B(s, 1), third))
     comps.append(Component("E1", class_E(s, 1), Fraction(2, 3)))
-    incidences = tuple(
-        Incidence(comp.id, n) for n, comp in enumerate(comps)
-    )
-    point = ConfigPoint("p", Germ.ordinary(6), incidences)
-    return DivisorConfiguration(s, tuple(comps), (point,))
+    return _ordinary_point(s, comps)
 
 
 def verify_lemma_G(case: str) -> Report:
     """The two-case analysis of the auxiliary family G on the degree-4 surface."""
     results = []
     if case == "case1":
-        for label, tangential in (("transverse", False), ("tangential", True)):
+        for label, tangential, want_lct in (
+            ("transverse", False, 1),
+            ("tangential", True, Fraction(3, 4)),
+        ):
             cfg = _lemma_g_case1(tangential)
-            results.append(_sum_check(f"lemma_G.case1.{label}.anticanonical", cfg))
-            results.append(_deg_bound_check(f"lemma_G.case1.{label}.degrees", cfg, 2))
-            results.append(_lc_check(f"lemma_G.case1.{label}.lc", cfg, _LAMBDA))
-            want_lct = Fraction(3, 4) if tangential else Fraction(1)
-            cert = clusters.lct_global(cfg)
-            results.append(
-                CheckResult(
-                    f"lemma_G.case1.{label}.lct",
-                    format_rational(want_lct),
-                    format_rational(cert.lct),
-                    cert.lct == want_lct,
-                )
-            )
+            cid = f"lemma_G.case1.{label}"
+            results += _standard_checks(cid, cfg, _G_DEGREE_BOUND)
+            results.append(_equal(f"{cid}.lct", want_lct, clusters.lct_global(cfg).lct))
     elif case == "case2":
         cfg = _lemma_g_case2()
-        results.append(_sum_check("lemma_G.case2.anticanonical", cfg))
-        results.append(_deg_bound_check("lemma_G.case2.degrees", cfg, 2))
-        results.append(_lc_check("lemma_G.case2.lc", cfg, _LAMBDA))
-        cluster = cfg.cluster_at("p")
-        root = cluster.root
-        v_root = cluster.divisor_valuation(root.id, cfg.coefficients)
+        results += _standard_checks("lemma_G.case2", cfg, _G_DEGREE_BOUND)
+        v_root = cfg.cluster_at("p").divisor_valuation("p.n0", cfg.coefficients)
         results.append(
             CheckResult(
                 "lemma_G.case2.root_valuation",
@@ -472,19 +419,14 @@ def verify_lemma_G(case: str) -> Report:
     return Report(f"lemma_G.{case}", tuple(results))
 
 
-# ---------------------------------------------------------------------------
-# Suite: auxiliary divisor family H (degree 4)
-
-
-def _explicit_two_level(point_id: str, comps_both: Sequence[str], comps_root_only: Sequence[str]) -> WeightedCluster:
+def _explicit_two_level(comps_both: Sequence[str], comps_root_only: Sequence[str]) -> WeightedCluster:
     """Root plus one free child; ``comps_both`` pass both with mult 1."""
-    root_mults = {c: 1 for c in list(comps_both) + list(comps_root_only)}
-    child_mults = {c: 1 for c in comps_both}
+    comp_ids = tuple(comps_both) + tuple(comps_root_only)
     nodes = (
-        ClusterNode("n0", None, (), root_mults),
-        ClusterNode("n1", "n0", ("n0",), child_mults),
+        ClusterNode("n0", None, (), dict.fromkeys(comp_ids, 1)),
+        ClusterNode("n1", "n0", ("n0",), dict.fromkeys(comps_both, 1)),
     )
-    return WeightedCluster(nodes, tuple(list(comps_both) + list(comps_root_only)))
+    return WeightedCluster(nodes, comp_ids)
 
 
 def _lemma_h_config(case: str) -> DivisorConfiguration:
@@ -492,27 +434,17 @@ def _lemma_h_config(case: str) -> DivisorConfiguration:
     if case == "1.1":
         comps = [Component("R", class_R(s), Fraction(1, 2))]
         comps += [Component(f"Q{i}", class_Q(s, i), Fraction(1, 6)) for i in range(1, 6)]
-        point = ConfigPoint(
-            "p",
-            Germ.ordinary(6),
-            tuple(Incidence(c.id, n) for n, c in enumerate(comps)),
-        )
-        return DivisorConfiguration(s, tuple(comps), (point,))
+        return _ordinary_point(s, comps)
     if case == "1.2a":
         comps = (
             Component("A1", class_A(s, 1), Fraction(1, 2)),
             Component("R125", class_Rijk(s, 1, 2, 5), Fraction(1, 2)),
             Component("R134", class_Rijk(s, 1, 3, 4), Fraction(1, 2)),
         )
-        cluster = _explicit_two_level("p", ["A1", "R125", "R134"], [])
+        cluster = _explicit_two_level(["A1", "R125", "R134"], [])
         return DivisorConfiguration(s, comps, (ConfigPoint("p", cluster),))
     if case == "1.2b":
-        comps = (
-            Component("A1", class_A(s, 1), Fraction(1)),
-            Component("B1", class_B(s, 1), Fraction(1)),
-        )
-        point = ConfigPoint("p", Germ.tacnode(), (Incidence("A1", 0), Incidence("B1", 1)))
-        return DivisorConfiguration(s, comps, (point,))
+        return _lemma_g_case1(tangential=True)
     if case == "2.1":
         comps = [
             Component(f"R1{j}{k}", class_Rijk(s, 1, j, k), Fraction(1, 8))
@@ -520,12 +452,7 @@ def _lemma_h_config(case: str) -> DivisorConfiguration:
         ]
         comps += [Component(f"Q{i}", class_Q(s, i), Fraction(1, 8)) for i in range(2, 6)]
         comps.append(Component("E1", class_E(s, 1), Fraction(1, 4)))
-        point = ConfigPoint(
-            "p",
-            Germ.ordinary(len(comps)),
-            tuple(Incidence(c.id, n) for n, c in enumerate(comps)),
-        )
-        return DivisorConfiguration(s, tuple(comps), (point,))
+        return _ordinary_point(s, comps)
     if case == "2.2":
         comps = (
             Component("A5", class_A(s, 5), Fraction(3, 5)),
@@ -535,24 +462,20 @@ def _lemma_h_config(case: str) -> DivisorConfiguration:
             Component("Q5", class_Q(s, 5), Fraction(1, 5)),
             Component("E1", class_E(s, 1), Fraction(2, 5)),
         )
-        cluster = _explicit_two_level("p", ["A5", "R125", "R135", "R145", "Q5"], ["E1"])
+        cluster = _explicit_two_level(["A5", "R125", "R135", "R145", "Q5"], ["E1"])
         return DivisorConfiguration(s, comps, (ConfigPoint("p", cluster),))
     if case == "2.3":
-        comps = (
-            Component("Q1", class_Q(s, 1), Fraction(1)),
-            Component("E1", class_E(s, 1), Fraction(1)),
-        )
-        point = ConfigPoint("p", Germ.tacnode(), (Incidence("Q1", 0), Incidence("E1", 1)))
-        return DivisorConfiguration(s, comps, (point,))
+        comps = (Component("Q1", class_Q(s, 1), 1), Component("E1", class_E(s, 1), 1))
+        return DivisorConfiguration(s, comps, (_through("p", Germ.tacnode(), ("Q1", "E1")),))
     raise KeyError(f"unknown case {case!r}")
 
 
 _H_CASES = ("1.1", "1.2a", "1.2b", "2.1", "2.2", "2.3")
+_H_MULT_P = {"1.1": Fraction(8, 6), "1.2a": Fraction(3, 2), "2.1": Fraction(3, 2)}
 
 # Reference intersection table for the tangential six-curve configuration of
 # case 2.2, on the surface blown up at p (strict transforms plus the
-# exceptional curve F1), upper triangle in the order below.
-_CASE22_ORDER = ("A5", "R125", "R135", "R145", "Q5", "E1", "p.E")
+# exceptional curve F1 = p.E), upper triangle.
 _CASE22_UPPER = {
     ("A5", "R125"): 1, ("A5", "R135"): 1, ("A5", "R145"): 1, ("A5", "Q5"): 1,
     ("A5", "E1"): 0, ("A5", "p.E"): 1,
@@ -565,133 +488,102 @@ _CASE22_UPPER = {
 }
 
 
-def _lemma_h_checks(case: str) -> list[CheckResult]:
-    cfg = _lemma_h_config(case)
-    cid = f"lemma_H.{case}"
-    results = [
-        _sum_check(f"{cid}.anticanonical", cfg),
-        _deg_bound_check(f"{cid}.degrees", cfg, 3),
-        _lc_check(f"{cid}.lc", cfg, _LAMBDA),
+def _case22_checks(cid: str, cfg: DivisorConfiguration) -> list[CheckResult]:
+    cluster = cfg.cluster_at("p")
+    v1 = cluster.divisor_valuation("p.n0", cfg.coefficients)
+    v2 = cluster.divisor_valuation("p.n1", cfg.coefficients)
+    a1 = _LAMBDA * v1 - 1
+    a2 = _LAMBDA * v2 - 2
+    cls = {c.id: c.cls for c in clusters.transform_by_blowup(cfg, "p").components}
+    mismatch = [
+        f"{ni}.{nj}={cls[ni].dot(cls[nj])}!={want}"
+        for (ni, nj), want in _CASE22_UPPER.items()
+        if cls[ni].dot(cls[nj]) != want
     ]
-    expected_mult = {"1.1": Fraction(8, 6), "1.2a": Fraction(3, 2), "2.1": Fraction(3, 2)}
-    if case in expected_mult:
-        mult = clusters.multiplicity_at(cfg, "p")
-        results.append(
-            CheckResult(
-                f"{cid}.mult_p",
-                format_rational(expected_mult[case]),
-                format_rational(mult),
-                mult == expected_mult[case],
-            )
-        )
-    if case == "2.2":
-        cluster = cfg.cluster_at("p")
-        v1 = cluster.divisor_valuation("p.n0", cfg.coefficients)
-        v2 = cluster.divisor_valuation("p.n1", cfg.coefficients)
-        results.append(
-            CheckResult(
-                f"{cid}.chain_valuations",
-                "v(F1)=9/5, v(F2)=16/5 (= 7/5 + 9/5)",
-                f"v(F1)={format_rational(v1)}, v(F2)={format_rational(v2)}",
-                v1 == Fraction(9, 5) and v2 == Fraction(16, 5),
-            )
-        )
-        a1 = _LAMBDA * v1 - 1
-        a2 = _LAMBDA * v2 - 2
-        results.append(
-            CheckResult(
-                f"{cid}.chain_coefficients",
-                "a(F1)=1/5, a(F2)=2/15 at lambda = 2/3",
-                f"a(F1)={format_rational(a1)}, a(F2)={format_rational(a2)}",
-                a1 == Fraction(1, 5) and a2 == Fraction(2, 15),
-            )
-        )
-        blown = clusters.transform_by_blowup(cfg, "p")
-        cls = {c.id: c.cls for c in blown.components}
-        mismatch = []
-        for (ni, nj), want in _CASE22_UPPER.items():
-            got = cls[ni].dot(cls[nj])
-            if got != want:
-                mismatch.append(f"{ni}.{nj}={got}!={want}")
-        results.append(
-            CheckResult(
-                f"{cid}.intersection_table",
-                f"all {len(_CASE22_UPPER)} strict-transform pairings match",
-                "all match" if not mismatch else "; ".join(mismatch),
-                not mismatch,
-            )
-        )
-    return results
+    return [
+        CheckResult(
+            f"{cid}.chain_valuations",
+            "v(F1)=9/5, v(F2)=16/5 (= 7/5 + 9/5)",
+            f"v(F1)={format_rational(v1)}, v(F2)={format_rational(v2)}",
+            v1 == Fraction(9, 5) and v2 == Fraction(16, 5),
+        ),
+        CheckResult(
+            f"{cid}.chain_coefficients",
+            "a(F1)=1/5, a(F2)=2/15 at lambda = 2/3",
+            f"a(F1)={format_rational(a1)}, a(F2)={format_rational(a2)}",
+            a1 == Fraction(1, 5) and a2 == Fraction(2, 15),
+        ),
+        CheckResult(
+            f"{cid}.intersection_table",
+            f"all {len(_CASE22_UPPER)} strict-transform pairings match",
+            "all match" if not mismatch else "; ".join(mismatch),
+            not mismatch,
+        ),
+    ]
 
 
 def verify_lemma_H(case: str) -> Report:
     """One subcase of the auxiliary family H analysis on the degree-4 surface."""
     if case not in _H_CASES:
         raise KeyError(f"unknown case {case!r} (expected one of {_H_CASES})")
-    return Report(f"lemma_H.{case}", tuple(_lemma_h_checks(case)))
+    cfg = _lemma_h_config(case)
+    cid = f"lemma_H.{case}"
+    results = _standard_checks(cid, cfg, _H_DEGREE_BOUND)
+    if case in _H_MULT_P:
+        results.append(_equal(f"{cid}.mult_p", _H_MULT_P[case], clusters.multiplicity_at(cfg, "p")))
+    if case == "2.2":
+        results += _case22_checks(cid, cfg)
+    return Report(cid, tuple(results))
+
+
+# The auxiliary-H side caps mult_q + mult_p <= 3, while the pair blown up at
+# p demands mult_q + mult_p > 2/lambda; the two clash exactly below 2/3.
+_H_CAP = 3
 
 
 def verify_degree4_bound_chain() -> Report:
     """The multiplicity bound chain of the degree-4 contradiction argument.
 
-    With every auxiliary-G component of degree <= 2 and lambda < 2/3, a
-    non-log-canonical point would satisfy 1/lambda < mult_p(D) <= 2, and the
-    blown-up pair forces mult_q + mult_p > 2/lambda while the auxiliary-H
-    side caps mult_q <= 3 - mult_p.  Both are linear in mult_p so endpoint
-    checks cover the interval.
+    With every auxiliary-G component of degree <= 2, a point where
+    (S, lambda*D) is not log canonical for some lambda < omega has
+    1/omega < 1/lambda < mult_p(D) <= 2.  The chain rules out every lambda
+    below 2/_H_CAP and no other; each check sets a number of the chain
+    against one found elsewhere: the table's omega for the degree-4 row and
+    the threshold of that row's witness.
     """
-    results = []
-    lo, hi = Fraction(3, 2), Fraction(2)
-    results.append(
+    sharp = Fraction(2, _H_CAP)
+    omega = scenario("deg4").omega
+    witness_lct = clusters.lct_global(witness("deg4").config).lct
+    lo = 1 / omega
+    return Report("bound_chain", (
         CheckResult(
             "bound_chain.interval",
-            "3/2 <= mult_p <= 2 is nonempty",
-            f"[{format_rational(lo)}, {format_rational(hi)}]",
-            lo <= hi,
-        )
-    )
-    samples = [Fraction(2, 3) - Fraction(1, k) for k in (3, 5, 9, 17, 101)]
-    ok = True
-    for lam in samples:
-        if not (1 / lam > Fraction(3, 2)):
-            ok = False
-        for m in (lo, hi):
-            # transform side demands mult_q > 2/lambda - m; H side allows at most 3 - m
-            if not (2 / lam - m > 3 - m):
-                ok = False
-    results.append(
+            f"1/omega <= mult_p <= {_G_DEGREE_BOUND} is nonempty",
+            f"[{format_rational(lo)}, {_G_DEGREE_BOUND}]",
+            lo <= _G_DEGREE_BOUND,
+        ),
         CheckResult(
             "bound_chain.contradiction",
-            "2/lambda - m > 3 - m for all lambda < 2/3 and m in [3/2, 2]",
-            "verified at interval endpoints for sampled lambda",
-            ok,
-        )
-    )
-    boundary = Fraction(2, 3)
-    results.append(
+            f"omega = {format_rational(sharp)} (2/lambda - m > {_H_CAP} - m exactly when "
+            f"lambda < {format_rational(sharp)})",
+            f"omega = {format_rational(omega)}",
+            omega == sharp,
+        ),
         CheckResult(
             "bound_chain.sharp_at_omega",
-            "no contradiction at lambda = 2/3 (threshold is sharp)",
-            f"2/lambda - m = 3 - m at lambda = {format_rational(boundary)}",
-            2 / boundary == 3,
-        )
-    )
-    return Report("bound_chain", tuple(results))
+            f"the degree-4 witness attains {format_rational(sharp)} (threshold is sharp)",
+            f"witness lct = {format_rational(witness_lct)}",
+            witness_lct == sharp,
+        ),
+    ))
 
 
 def verify_lemma_H_all() -> Report:
-    results = []
-    for case in _H_CASES:
-        results.extend(verify_lemma_H(case).results)
-    results.extend(verify_degree4_bound_chain().results)
-    return Report("lemmaH", tuple(results))
+    return Report.merged("lemmaH", [*map(verify_lemma_H, _H_CASES), verify_degree4_bound_chain()])
 
 
 def verify_lemma_G_all() -> Report:
-    results = []
-    for case in ("case1", "case2"):
-        results.extend(verify_lemma_G(case).results)
-    return Report("lemmaG", tuple(results))
+    return Report.merged("lemmaG", map(verify_lemma_G, ("case1", "case2")))
 
 
 # ---------------------------------------------------------------------------
@@ -702,17 +594,9 @@ def verify_corollary() -> Report:
     """Every table row: the witness sums to -K and its threshold equals omega."""
     results = []
     for sc in SCENARIOS:
-        rec = witness(sc)
-        results.append(_sum_check(f"corollary.{sc.variant}.anticanonical", rec.config))
-        cert = clusters.lct_global(rec.config)
-        results.append(
-            CheckResult(
-                f"corollary.{sc.variant}.lct",
-                format_rational(sc.omega),
-                format_rational(cert.lct),
-                cert.lct == sc.omega,
-            )
-        )
+        cfg = witness(sc).config
+        results.append(_sum_check(f"corollary.{sc.variant}.anticanonical", cfg))
+        results.append(_equal(f"corollary.{sc.variant}.lct", sc.omega, clusters.lct_global(cfg).lct))
     return Report("corollary", tuple(results))
 
 
@@ -748,26 +632,10 @@ def verify_complementary_sections() -> Report:
                 not bad,
             )
         )
-    q1 = minus_k - class_E(s, 1)
-    results.append(
-        CheckResult(
-            "complementary.example_E1",
-            "(3, -2, -1, -1, -1, -1)",
-            str(q1.coeffs),
-            q1.coeffs == (3, -2, -1, -1, -1, -1),
-        )
-    )
-    b1 = minus_k - class_A(s, 1)
-    results.append(
-        CheckResult(
-            "complementary.example_A1",
-            str(class_B(s, 1).coeffs),
-            str(b1.coeffs),
-            b1 == class_B(s, 1),
-        )
-    )
-    deg_check = (minus_k - class_R(s)).degree
-    results.append(
-        CheckResult("complementary.example_R_degree", "1", str(deg_check), deg_check == 1)
-    )
+    q1, b1 = minus_k - class_E(s, 1), minus_k - class_A(s, 1)
+    results += [
+        _equal("complementary.example_E1", (3, -2, -1, -1, -1, -1), q1.coeffs, show=str),
+        _equal("complementary.example_A1", class_B(s, 1).coeffs, b1.coeffs, show=str),
+        _equal("complementary.example_R_degree", 1, (minus_k - class_R(s)).degree),
+    ]
     return Report("complementary", tuple(results))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,11 @@ class Report:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "results", tuple(self.results))
+
+    @classmethod
+    def merged(cls, suite: str, reports: Iterable["Report"]) -> "Report":
+        """One report holding the checks of ``reports``, in order."""
+        return cls(suite, tuple(r for rep in reports for r in rep.results))
 
     @property
     def passed(self) -> bool:

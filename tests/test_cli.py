@@ -1,6 +1,8 @@
 """CLI contract tests: flags, exit codes, formats, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +173,26 @@ class TestLct:
         assert main(["lct", cusp_file, "--lambda", "0.5"]) == 2
         assert main(["lct", cusp_file, "--lambda", "1/0"]) == 2
 
+    @staticmethod
+    def _assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    def test_negative_lambda_exits_2(self, capsys):
+        root = Path(__file__).resolve().parents[1]
+        assert main(["lct", str(root / "bench" / "data" / "deg4.json"), "--lambda=-1/2"]) == 2
+        self._assert_one_error_line(capsys)
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["lct", str(tmp_path)]) == 2
+        self._assert_one_error_line(capsys)
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(CUSP_CONFIG.replace('"C"', '"\u00c7"').encode("latin-1"))
+        assert main(["lct", str(path)]) == 2
+        self._assert_one_error_line(capsys)
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -220,10 +242,51 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "suite table1: 8/8 checks passed\n\nFAIL broken.check" in out
 
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_cases_below_one_exits_2(self, cases, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "properties", "--cases", cases])
+        assert exc.value.code == 2
+        assert "--cases: must be at least 1" in capsys.readouterr().err
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+# sha256 of `verify --suite <name>` stdout, plain and --json, frozen so that
+# a rewrite of the suites must print the same reports byte for byte.  The
+# lemmaH digests leave out the `bound_chain.*` checks.
+VERIFY_DIGESTS = {
+    ("table1", False): "0c3b2cf6938a358e386b972bf5e6e2d896b2f93a4339c94ddfc3f0df49f9cf2b",
+    ("table1", True): "0b9bdad7547f124464526f7d3a027d5d72e3a5adfabb479f0d6ee89d8e533900",
+    ("lines", False): "38010c36fd9443b295b137006ef00df309ca0a08356f164889b10ecaf4fecfee",
+    ("lines", True): "03145a54aaac969f1b80d6db05dc6565a92f051d77e73d2d052c3206ca094c1d",
+    ("lemmaG", False): "174375163b464cd3e3e1d894734b51cc6a3597fcf8d19c849590c1c901d73f73",
+    ("lemmaG", True): "2cee7488c4f664e8c68f531585a15d576c56544a61f44bb11aa54e6ed908facf",
+    ("lemmaH", False): "b7adb1d57c7e447a6939501de5a8a27431b52304c905d1f99634f41a89c6409f",
+    ("lemmaH", True): "5016acc22732d707a8073a86ae33e027fbc14d80dd9319653a66db1a943be2e4",
+    ("corollary", False): "7e1fef421cf74abb47c15dcea07a838921b7fba39952389ae5a3c55d00ab2cbf",
+    ("corollary", True): "c7506782cab97b89f1c0a7e256892d4a0b747f35a9643f12974035a8ed9101f0",
+}
+
+
+def _without_bound_chain(out: str, as_json: bool) -> str:
+    if as_json:
+        obj = json.loads(out)
+        obj["checks"] = [c for c in obj["checks"] if not c["check_id"].startswith("bound_chain.")]
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return "".join(line for line in out.splitlines(True) if " bound_chain." not in line)
+
+
+@pytest.mark.parametrize("suite,as_json", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_is_pinned(suite, as_json, capsys):
+    assert main(["verify", "--suite", suite] + (["--json"] if as_json else [])) == 0
+    out = capsys.readouterr().out
+    if suite == "lemmaH":
+        out = _without_bound_chain(out, as_json)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite, as_json]
 
 
 class TestConfigRoundTrip:

@@ -172,6 +172,11 @@ class TestClusterValidation:
         with pytest.raises(ClusterError):
             ClusterNode("n0", None, (), {"c": -1})
 
+    @pytest.mark.parametrize("m", [True, False, 1.0])
+    def test_non_int_multiplicity_rejected(self, m):
+        with pytest.raises(ClusterError, match="must be a nonnegative integer"):
+            ClusterNode("n0", None, (), {"c": m})
+
     @pytest.mark.parametrize(
         "rows,message",
         [
@@ -573,6 +578,24 @@ def test_derived_clusters_pass_the_checking_constructor():
                 checked += 1
     assert signed >= 150
     assert checked >= 4000
+
+
+def test_each_node_is_checked_once(monkeypatch):
+    # The checking node constructor runs once per node of a catalogued germ;
+    # the rename to "p.n<i>" and the blow-up slices reuse the checked data.
+    checked = []
+    check = ClusterNode.__post_init__
+
+    def counting(self):
+        checked.append(self.id)
+        check(self)
+
+    monkeypatch.setattr(ClusterNode, "__post_init__", counting)
+    cfg = plane_config(Germ.cusp(), {0: "c"})
+    assert [n.id for n in cfg.cluster_at("p").nodes] == ["p.n0", "p.n1", "p.n2"]
+    once = transform_by_blowup(cfg, "p")
+    transform_by_blowup(once, once.points[0].id)
+    assert checked == ["n0", "n1", "n2"]
 
 
 def test_derived_configurations_do_not_revalidate_clusters(monkeypatch):

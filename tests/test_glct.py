@@ -1,5 +1,6 @@
 """Tests for the witness catalog and the verification suites."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -24,6 +25,8 @@ from delpezzo_lct import (
     verify_table1,
     witness,
 )
+from delpezzo_lct import glct
+from delpezzo_lct.cli import main
 from delpezzo_lct.glct import class_C0, class_E
 
 
@@ -195,6 +198,26 @@ def test_verify_complementary_sections():
 
 def test_degree4_bound_chain():
     _assert_all_passed(verify_degree4_bound_chain())
+
+
+@pytest.mark.parametrize("omega", [Fraction(1, 2), Fraction(3, 4)])
+def test_bound_chain_fails_when_deg4_omega_is_wrong(monkeypatch, omega):
+    # The chain's checks compare numbers from different sources, so a wrong
+    # table value for degree 4 must fail the suite.
+    wrong = dataclasses.replace(glct.scenario("deg4"), omega=omega)
+    monkeypatch.setitem(glct._SCENARIO_BY_VARIANT, "deg4", wrong)
+    by_id = {r.check_id: r for r in verify_degree4_bound_chain().results}
+    assert not by_id["bound_chain.contradiction"].passed
+    assert by_id["bound_chain.sharp_at_omega"].passed
+    assert main(["verify", "--suite", "lemmaH"]) == 1
+
+
+def test_bound_chain_fails_when_h_cap_is_wrong(monkeypatch):
+    monkeypatch.setattr(glct, "_H_CAP", 4)
+    by_id = {r.check_id: r for r in verify_degree4_bound_chain().results}
+    assert by_id["bound_chain.interval"].passed
+    assert not by_id["bound_chain.contradiction"].passed
+    assert not by_id["bound_chain.sharp_at_omega"].passed
 
 
 def test_lemma_G_invalid_case():
