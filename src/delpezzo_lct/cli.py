@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 1 semantic negative (not log canonical, or a failing
 suite), 2 usage or parse error, 3 inconsistent intersection data.  Output
-is byte-deterministic for fixed inputs and seed.
+is byte-deterministic for fixed inputs and seed.  A reader that closes
+stdout early (``dplct classes ... | head -1``) ends the command quietly
+with exit 1, as Python itself does on a broken pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import clusters, glct, properties
@@ -102,7 +105,15 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_lct(args) -> int:
-    cfg = parse_config_file(args.config)
+    # Only the file read is guarded here: a closed stdout is an OSError too.
+    try:
+        cfg = parse_config_file(args.config)
+    except FileNotFoundError:
+        return _fail(f"no such file: {args.config}")
+    except OSError as e:
+        return _fail(f"cannot read {args.config}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        return _fail(f"cannot read {args.config}: {e}")
     lam = None if args.lam is None else parse_rational(args.lam)
     if args.point is not None:
         cfg.point(args.point)
@@ -147,25 +158,32 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
     # The one boundary for bad input.  Every error the package raises for
     # it is a ValueError (ClusterError, LatticeError, ConfigSyntaxError,
-    # ConfigSchemaError, a malformed --lambda); only `lct` reads a file.
+    # ConfigSchemaError, a malformed --lambda).
     try:
         return _cmd_classes(args) if args.command == "classes" else _cmd_lct(args)
     except InconsistentConfigError as e:
         return _fail(f"inconsistent intersections: {e}", EXIT_INCONSISTENT)
-    except FileNotFoundError:
-        return _fail(f"no such file: {args.config}")
-    except OSError as e:
-        return _fail(f"cannot read {args.config}: {e.strerror}")
-    except UnicodeDecodeError as e:
-        return _fail(f"cannot read {args.config}: {e}")
     except ValueError as e:
         return _fail(str(e))
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten output cannot raise again on exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -202,7 +202,7 @@ class WeightedCluster:
             parent_prox = self.nodes[index[node.parent]].proximate_to
             for a in prox:
                 if a != node.parent and a not in parent_prox:
-                    if a not in self._ancestors(node.id, index):
+                    if a not in self._ancestors(node.id):
                         raise ClusterError(f"{node.id!r} proximate to non-ancestor {a!r}")
                     raise ClusterError(f"satellite {node.id!r}: its parent is not proximate to {a!r}")
         # A satellite direction E_parent /\ E_a is a single point.
@@ -228,11 +228,13 @@ class WeightedCluster:
                         f"{node.mult(comp)} < {total}"
                     )
 
-    def _ancestors(self, node_id: str, index: Mapping[str, int]) -> set[str]:
-        out = set()
+    def _ancestors(self, node_id: str) -> list[str]:
+        """The ancestors of a node, parent first and the root last."""
+        index = self._index
+        out = []
         cur = self.nodes[index[node_id]].parent
         while cur is not None:
-            out.add(cur)
+            out.append(cur)
             cur = self.nodes[index[cur]].parent
         return out
 
@@ -241,8 +243,11 @@ class WeightedCluster:
         return {n.id: i for i, n in enumerate(self.nodes)}
 
     def node(self, node_id: str) -> ClusterNode:
+        return self.nodes[self._position(node_id)]
+
+    def _position(self, node_id: str) -> int:
         try:
-            return self.nodes[self._index[node_id]]
+            return self._index[node_id]
         except KeyError:
             raise ClusterError(f"unknown cluster node {node_id!r}") from None
 
@@ -254,54 +259,40 @@ class WeightedCluster:
         return tuple(n for n in self.nodes if n.parent == node_id)
 
     @cached_property
-    def _valuations(self) -> dict[str, dict[str, int]]:
-        """component -> node -> v, by the proximity recursion."""
-        out: dict[str, dict[str, int]] = {}
-        for comp in self.component_ids:
-            table: dict[str, int] = {}
-            for node in self.nodes:
-                table[node.id] = node.mult(comp) + sum(table[a] for a in node.proximate_to)
-            out[comp] = table
-        return out
-
-    @cached_property
-    def _log_discrepancies(self) -> dict[str, int]:
-        """node -> k, with k(root) = 1."""
-        table: dict[str, int] = {}
-        for node in self.nodes:
-            table[node.id] = 1 + sum(table[a] for a in node.proximate_to)
-        return table
-
-    @cached_property
     def _forms(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
-        """Per node: (id, k, v of each component in ``component_ids`` order).
+        """Per node, in node order: (id, k, v of each component in
+        ``component_ids`` order), by the two proximity recursions.
 
         v_q(D) is the integer linear form sum_i d_i * v_q(C_i) in these
         columns; certificates evaluate it once per coefficient vector.
         """
-        vals = [self._valuations[c] for c in self.component_ids]
-        ks = self._log_discrepancies
-        return tuple(
-            (n.id, ks[n.id], tuple(table[n.id] for table in vals)) for n in self.nodes
-        )
+        forms: dict[str, tuple[str, int, tuple[int, ...]]] = {}
+        for node in self.nodes:
+            prox = [forms[a] for a in node.proximate_to]
+            k = 1 + sum(f[1] for f in prox)
+            v = tuple(
+                node.mult(c) + sum(f[2][j] for f in prox)
+                for j, c in enumerate(self.component_ids)
+            )
+            forms[node.id] = (node.id, k, v)
+        return tuple(forms.values())
 
     def valuation(self, node_id: str, component: str) -> int:
-        self.node(node_id)
-        if component not in set(self.component_ids):
+        _, _, v = self._forms[self._position(node_id)]
+        if component not in self.component_ids:
             raise ClusterError(f"unknown component {component!r}")
-        return self._valuations[component][node_id]
+        return v[self.component_ids.index(component)]
 
     def log_discrepancy(self, node_id: str) -> int:
         """k(node) + 1, the log discrepancy of the exceptional divisor."""
-        self.node(node_id)
-        return self._log_discrepancies[node_id] + 1
+        return self._forms[self._position(node_id)][1] + 1
 
     def divisor_valuation(self, node_id: str, coeffs: Mapping[str, Fraction]) -> Fraction:
-        self.node(node_id)
+        _, _, v = self._forms[self._position(node_id)]
         total = Fraction(0)
-        for comp, d in coeffs.items():
-            if comp in self._valuations:
-                total += d * self._valuations[comp][node_id]
+        for comp, vq in zip(self.component_ids, v):
+            if comp in coeffs:
+                total += coeffs[comp] * vq
         return total
 
     def local_intersection_pair(self, comp_i: str, comp_j: str) -> int:
@@ -342,21 +333,11 @@ def canonical_form(cluster: WeightedCluster):
     Extra proximities are encoded as ancestor distances (1 = parent), so two
     clusters describing the same configuration compare equal.
     """
-    index = cluster._index
-
-    def depth_delta(node_id: str, ancestor: str) -> int:
-        steps = 0
-        cur = node_id
-        while cur != ancestor:
-            cur = cluster.nodes[index[cur]].parent
-            steps += 1
-            if cur is None:
-                raise ClusterError("proximity target is not an ancestor")
-        return steps
 
     def form(node: ClusterNode):
+        chain = cluster._ancestors(node.id)
         extra = tuple(
-            sorted(depth_delta(node.id, a) for a in node.proximate_to if a != node.parent)
+            sorted(chain.index(a) + 1 for a in node.proximate_to if a != node.parent)
         )
         mults = tuple(sorted((c, m) for c, m in node.mults.items() if m))
         kids = tuple(sorted(form(ch) for ch in cluster.children(node.id)))
@@ -424,7 +405,11 @@ def _compile_germ(point: ConfigPoint) -> WeightedCluster:
 
 
 def _instantiate(germ: Germ, point: ConfigPoint) -> WeightedCluster:
-    """The germ's template with node ids n0, n1, ... and the point's branches."""
+    """The germ's template with node ids n0, n1, ... and the point's branches.
+
+    A template row scaled by the branch counts of each component is valid
+    by construction (the tests check every kind), so no check runs here.
+    """
     slots = sorted(inc.branch for inc in point.incident)
     if slots != list(range(germ.branches)):
         raise ClusterError(
@@ -435,12 +420,12 @@ def _instantiate(germ: Germ, point: ConfigPoint) -> WeightedCluster:
     branches: dict[str, int] = {}
     for inc in sorted(point.incident, key=operator.attrgetter("branch")):
         branches[inc.component] = branches.get(inc.component, 0) + 1
-    nodes = tuple(
-        ClusterNode(nid, parent, prox, {comp: m * k for comp, k in branches.items()})
+    rows = (
+        (nid, parent, prox, {comp: m * k for comp, k in branches.items()})
         for nid, parent, prox, m in _CATALOGUE[germ.kind][1]
     )
     comp_ids = tuple(dict.fromkeys(inc.component for inc in point.incident))
-    return WeightedCluster(nodes, comp_ids)
+    return WeightedCluster._derived(rows, comp_ids)
 
 
 def _compile_point(point: ConfigPoint, known_components: set[str]) -> WeightedCluster:
@@ -512,8 +497,10 @@ class DivisorConfiguration:
         raise ClusterError(f"unknown point {point_id!r}")
 
     def cluster_at(self, point_id: str) -> WeightedCluster:
-        self.point(point_id)
-        return self._clusters[point_id]
+        try:
+            return self._clusters[point_id]
+        except KeyError:
+            raise ClusterError(f"unknown point {point_id!r}") from None
 
     def total_class(self) -> DivisorClass:
         """sum d_i * class_i; exact only when every d_i is an integer."""
@@ -660,14 +647,10 @@ def _certificate(cfg: DivisorConfiguration, point_id: Optional[str]) -> LctCerti
     for pid in point_ids:
         rows.extend(_point_rows(cfg, pid))
 
-    best: Optional[Fraction] = None
-    minimizer: Optional[tuple[str, str]] = None
-    for b in bounds:
-        if b.bound is not None and (best is None or b.bound < best):
-            best, minimizer = b.bound, ("component", b.component)
-    for row in rows:
-        if row.ratio is not None and (best is None or row.ratio < best):
-            best, minimizer = row.ratio, ("node", row.node)
+    # Candidates in canonical order; `min` keeps the earliest of equal ones.
+    candidates = [(b.bound, ("component", b.component)) for b in bounds if b.bound is not None]
+    candidates += [(r.ratio, ("node", r.node)) for r in rows if r.ratio is not None]
+    best, minimizer = min(candidates, key=operator.itemgetter(0), default=(None, None))
     return LctCertificate(best, minimizer, tuple(rows), tuple(bounds))
 
 

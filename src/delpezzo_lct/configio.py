@@ -153,7 +153,7 @@ def config_from_json_obj(obj: dict) -> DivisorConfiguration:
         if isinstance(germ_raw, str):
             try:
                 germ: Union[Germ, WeightedCluster] = germ_from_string(germ_raw)
-            except (ValueError, KeyError) as e:
+            except ValueError as e:
                 raise ConfigSchemaError(f"{ppath}.germ", str(e)) from None
         elif isinstance(germ_raw, dict):
             germ = _parse_cluster(germ_raw, f"{ppath}.germ")

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,9 @@ from delpezzo_lct.configio import (
     config_to_json_obj,
     parse_config_text,
 )
-from delpezzo_lct import lct_global, witness
+from delpezzo_lct import enumerate_classes, lct_global, make_surface, witness
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CUSP_CONFIG = """
 {
@@ -169,6 +174,35 @@ class TestLct:
         reparsed = json.loads(first)
         assert json.dumps(reparsed, indent=2, sort_keys=True) + "\n" == first
 
+    def test_component_minimizer_text(self, capsys):
+        assert main(["lct", str(ROOT / "bench" / "data" / "deg9.json")]) == 0
+        assert capsys.readouterr().out == (
+            "lct = 1/3\n"
+            "minimizer = component L (coeff = 3, bound = 1/3)\n"
+            "component L: coeff = 3, bound = 1/3\n"
+        )
+
+    def test_lambda_json(self, capsys):
+        assert main(["lct", str(ROOT / "bench" / "data" / "deg9.json"), "--lambda", "2/3", "--json"]) == 1
+        assert capsys.readouterr().out == """{
+  "component_bounds": [
+    {
+      "bound": "1/3",
+      "coeff": "3",
+      "component": "L"
+    }
+  ],
+  "lambda": "2/3",
+  "lct": "1/3",
+  "log_canonical": false,
+  "minimizer": {
+    "id": "L",
+    "kind": "component"
+  },
+  "rows": []
+}
+"""
+
     def test_bad_lambda_exits_2(self, cusp_file, capsys):
         assert main(["lct", cusp_file, "--lambda", "0.5"]) == 2
         assert main(["lct", cusp_file, "--lambda", "1/0"]) == 2
@@ -179,8 +213,7 @@ class TestLct:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
     def test_negative_lambda_exits_2(self, capsys):
-        root = Path(__file__).resolve().parents[1]
-        assert main(["lct", str(root / "bench" / "data" / "deg4.json"), "--lambda=-1/2"]) == 2
+        assert main(["lct", str(ROOT / "bench" / "data" / "deg4.json"), "--lambda=-1/2"]) == 2
         self._assert_one_error_line(capsys)
 
     def test_directory_exits_2(self, tmp_path, capsys):
@@ -253,6 +286,44 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+def _dplct(argv, **kwargs):
+    src_path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(src_path))
+    return subprocess.Popen([sys.executable, "-m", "delpezzo_lct", *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lct", str(ROOT / "bench" / "data" / "deg4.json"), "--json"],
+        ["classes", "--degree", "1", "--deg", "3", "--self", "1"],
+        ["verify", "--suite", "table1"],
+    ],
+    ids=["lct", "classes", "verify"],
+)
+def test_closed_stdout_ends_quietly(argv):
+    # The reader is gone before the command starts, so every write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _dplct(argv, stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+def test_reader_that_stops_after_one_line():
+    # 17,520 cubic lines overflow the pipe buffer after the reader has gone.
+    first = enumerate_classes(make_surface(1), 3, 1)[0]
+    proc = _dplct(["classes", "--degree", "1", "--deg", "3", "--self", "1"],
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert line.decode().split() == [str(x) for x in first.coeffs]
+    assert (proc.returncode, err) == (1, b"")
 
 
 # sha256 of `verify --suite <name>` stdout, plain and --json, frozen so that

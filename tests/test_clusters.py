@@ -1,5 +1,6 @@
 """Tests for clusters, log canonicity, thresholds and blow-up transforms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from delpezzo_lct import (
     valuation,
     with_coefficients,
 )
+from delpezzo_lct.clusters import _CATALOGUE, _instantiate
 from delpezzo_lct.glct import class_E, class_L
 from delpezzo_lct.properties import _random_point_config
 
@@ -227,10 +229,25 @@ class TestClusterValidation:
                 [("n0", None, (), 1), ("n1", "n0", ("n0",), 2)],
                 "proximity inequality fails for 'c' at 'n0': 1 < 2",
             ),
+            ([], "a cluster needs at least the root node"),
+            (
+                [("n0", None, ("n0",), 1)],
+                "the root is proximate to nothing",
+            ),
+            (
+                [
+                    ("n0", None, (), 1),
+                    ("n1", "n0", ("n0",), 1),
+                    ("n2", "n1", ("n1",), 1),
+                    ("n3", "n2", ("n2", "n1", "n0"), 1),
+                ],
+                "'n3' may be proximate to its parent and at most one more point",
+            ),
         ],
         ids=[
             "duplicate", "root_first", "parent_after", "parent_proximity", "non_ancestor",
-            "unknown_target", "satellite", "corner", "inequality",
+            "unknown_target", "satellite", "corner", "inequality", "empty", "proximate_root",
+            "three_proximities",
         ],
     )
     def test_error_messages(self, rows, message):
@@ -238,6 +255,88 @@ class TestClusterValidation:
         with pytest.raises(ClusterError) as err:
             WeightedCluster(nodes, ("c",))
         assert str(err.value) == message
+
+
+S9 = make_surface(9)
+
+
+def _comp(cid, coeff=ONE, cls=None):
+    return Component(cid, cls or DivisorClass(S9, (5,)), Fraction(coeff))
+
+
+def _smooth_point(cid):
+    return ConfigPoint("p", Germ.smooth(1), (Incidence(cid, 0),))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        pytest.param(
+            lambda: WeightedCluster((ClusterNode("n0", None, (), {"x": 1}),), ("c",)),
+            "node 'n0' mentions unknown component 'x'",
+            id="unknown_component_in_node",
+        ),
+        pytest.param(
+            lambda: DivisorConfiguration(S9, (_comp("c"), _comp("c")), ()),
+            "duplicate component ids",
+            id="duplicate_component_ids",
+        ),
+        pytest.param(
+            lambda: DivisorConfiguration(S9, (_comp("c"),), (_smooth_point("c"), _smooth_point("c"))),
+            "duplicate point ids",
+            id="duplicate_point_ids",
+        ),
+        pytest.param(
+            lambda: DivisorConfiguration(S9, (_comp("c", cls=DivisorClass(make_surface(8), (1, 0))),), ()),
+            "component 'c' lives on a different surface",
+            id="component_on_other_surface",
+        ),
+        pytest.param(
+            lambda: DivisorConfiguration(S9, (_comp("c", Fraction(1, 2)),), ()).total_class(),
+            "total class has non-integer coefficients",
+            id="non_integer_total_class",
+        ),
+        pytest.param(
+            lambda: local_intersection(
+                DivisorConfiguration(S9, (_comp("a"), _comp("b")), (_smooth_point("a"),)), "p", "a", "b"
+            ),
+            "component 'b' does not pass through 'p'",
+            id="component_off_the_point",
+        ),
+        pytest.param(
+            lambda: scale_configuration(DivisorConfiguration(S9, (_comp("c"),), ()), 0),
+            "scaling factor must be positive",
+            id="scale_by_zero",
+        ),
+        pytest.param(
+            lambda: transform_by_blowup(
+                DivisorConfiguration(S9, (_comp("c"), _comp("p.E")), (_smooth_point("c"),)), "p"
+            ),
+            "component id 'p.E' already taken",
+            id="exceptional_id_taken",
+        ),
+        pytest.param(lambda: Germ("spiral"), "unknown germ kind 'spiral'", id="germ_kind"),
+        pytest.param(lambda: Germ("node", 3), "node germ has exactly 2 branches", id="germ_arity"),
+        pytest.param(lambda: Germ("ordinary", 0), "a germ needs at least one branch", id="germ_branches"),
+        pytest.param(
+            lambda: DivisorConfiguration(
+                S9,
+                (_comp("c"),),
+                (ConfigPoint(
+                    "p",
+                    WeightedCluster((ClusterNode("n0", None, (), {"c": 1}),), ("c",)),
+                    (Incidence("c", 0),),
+                ),),
+            ),
+            "point 'p': explicit clusters carry their own incidence data",
+            id="explicit_cluster_with_incidences",
+        ),
+    ],
+)
+def test_input_error_messages(build, message):
+    with pytest.raises(ClusterError) as err:
+        build()
+    assert str(err.value) == message
 
 
 class TestMultiplicityAt:
@@ -581,8 +680,10 @@ def test_derived_clusters_pass_the_checking_constructor():
 
 
 def test_each_node_is_checked_once(monkeypatch):
-    # The checking node constructor runs once per node of a catalogued germ;
-    # the rename to "p.n<i>" and the blow-up slices reuse the checked data.
+    # A catalogued germ is a constant template (checked by the catalogue test
+    # below), so compiling it runs no node check.  An explicit cluster's nodes
+    # are checked once, when built; the rename to "p.n<i>" and the blow-up
+    # slices reuse the checked data.
     checked = []
     check = ClusterNode.__post_init__
 
@@ -591,11 +692,55 @@ def test_each_node_is_checked_once(monkeypatch):
         check(self)
 
     monkeypatch.setattr(ClusterNode, "__post_init__", counting)
-    cfg = plane_config(Germ.cusp(), {0: "c"})
+    germ_cfg = plane_config(Germ.cusp(), {0: "c"})
+    assert [n.id for n in germ_cfg.cluster_at("p").nodes] == ["p.n0", "p.n1", "p.n2"]
+    once = transform_by_blowup(germ_cfg, "p")
+    transform_by_blowup(once, once.points[0].id)
+    assert checked == []
+
+    nodes = (
+        ClusterNode("n0", None, (), {"c": 2}),
+        ClusterNode("n1", "n0", ("n0",), {"c": 1}),
+        ClusterNode("n2", "n1", ("n1", "n0"), {"c": 1}),
+    )
+    cfg = explicit_config(nodes, ("c",), {"c": ONE})
     assert [n.id for n in cfg.cluster_at("p").nodes] == ["p.n0", "p.n1", "p.n2"]
     once = transform_by_blowup(cfg, "p")
     transform_by_blowup(once, once.points[0].id)
     assert checked == ["n0", "n1", "n2"]
+
+
+def _catalogue_points():
+    """Every catalogue kind at each branch count it takes (1-4 when free),
+    with every assignment of its branches to the components a, b, c."""
+    for kind, (fixed, _) in _CATALOGUE.items():
+        for branches in (fixed,) if fixed else range(1, 5):
+            for comps in itertools.product("abc", repeat=branches):
+                incident = tuple(Incidence(c, b) for b, c in enumerate(comps))
+                yield ConfigPoint("p", Germ(kind, branches), incident)
+
+
+def test_catalogue_templates_pass_the_checking_constructor():
+    kinds = set()
+    for point in _catalogue_points():
+        cluster = _instantiate(point.germ, point)
+        nodes = tuple(ClusterNode(n.id, n.parent, n.proximate_to, n.mults) for n in cluster.nodes)
+        WeightedCluster(nodes, cluster.component_ids)
+        assert cluster.component_ids == tuple(dict.fromkeys(i.component for i in point.incident))
+        kinds.add((point.germ.kind, point.germ.branches))
+    assert kinds == {
+        (kind, b) for kind, (fixed, _) in _CATALOGUE.items() for b in ((fixed,) if fixed else range(1, 5))
+    }
+
+
+def test_catalogued_germs_compile_without_any_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a catalogued germ was checked")
+
+    monkeypatch.setattr(WeightedCluster, "_validate", refuse)
+    monkeypatch.setattr(ClusterNode, "__post_init__", refuse)
+    compiled = [point.cluster for point in _catalogue_points()]
+    assert {len(c.nodes) for c in compiled} == {1, 2, 3}
 
 
 def test_derived_configurations_do_not_revalidate_clusters(monkeypatch):

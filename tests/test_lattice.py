@@ -448,3 +448,63 @@ class TestIsometries:
         b = DivisorClass(s, tuple(data.draw(st.integers(-3, 3)) for _ in range(6)))
         assert iso.apply(a).dot(iso.apply(b)) == a.dot(b)
         assert degree_of(iso.apply(a)) == degree_of(a)
+
+
+
+_S4, _S5, _S7 = make_surface(4), make_surface(5), make_surface(7)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        pytest.param(
+            lambda: LatticeIsometry(_S4, ((1, 0), (0, 1))),
+            "isometry matrix size does not match lattice rank",
+            id="size",
+        ),
+        pytest.param(
+            lambda: LatticeIsometry(_S4, tuple(tuple(-int(i == j) for j in range(6)) for i in range(6))),
+            "matrix does not fix the canonical class",
+            id="minus_identity",
+        ),
+        pytest.param(
+            lambda: LatticeIsometry.identity(_S4).apply(class_E(_S5, 1)),
+            "class does not live on the isometry's surface",
+            id="apply_across_surfaces",
+        ),
+        pytest.param(
+            lambda: LatticeIsometry.identity(_S4).compose(LatticeIsometry.identity(_S5)),
+            "isometries live on different surfaces",
+            id="compose_across_surfaces",
+        ),
+        pytest.param(
+            lambda: LatticeIsometry.cremona(make_surface(8, QUADRIC), 1, 2, 3),
+            "Cremona reflections act on blow-up bases only",
+            id="cremona_on_quadric",
+        ),
+        pytest.param(
+            lambda: LatticeIsometry.cremona(_S4, 1, 1, 2),
+            "Cremona indices must be three distinct E-indices",
+            id="cremona_indices",
+        ),
+        pytest.param(
+            lambda: find_model_isometry(_S4, [(class_E(_S4, 1), class_E(_S5, 1))]),
+            "target classes live on a different surface",
+            id="target_surface",
+        ),
+        pytest.param(  # E1 -> H + E1 - E2: both square to -1, degrees 1 and 3
+            lambda: find_model_isometry(_S4, [(class_E(_S4, 1), DivisorClass(_S4, (1, 1, -1, 0, 0, 0)))]),
+            "no isometry exists: anticanonical degree is an invariant",
+            id="degree",
+        ),
+        pytest.param(  # degree 7 has the one root E1 - E2, so E1's orbit is {E1, E2}
+            lambda: find_model_isometry(_S7, [(class_E(_S7, 1), class_L(_S7, 1, 2))]),
+            "no isometry maps the given sources to the given targets",
+            id="exhausted_orbit",
+        ),
+    ],
+)
+def test_isometry_error_messages(build, message):
+    with pytest.raises(LatticeError) as err:
+        build()
+    assert str(err.value) == message

@@ -92,3 +92,18 @@ def test_suite_draws_are_pinned(monkeypatch, seed, cases):
     assert run_property_suites(seed=seed, cases=cases).passed
     drawn = {name: rng.getrandbits(64) for name, rng in generators.items()}
     assert drawn == PINNED_DRAWS[seed, cases]
+
+
+def test_every_failure_is_counted(monkeypatch):
+    monkeypatch.setattr(properties, "_RUNNERS", [])
+
+    @properties._suite
+    def run_never(rng):
+        """A law that fails on every instance."""
+        return False, f"draw {rng.randrange(100)}"
+
+    result = run_never(0, 40)
+    assert not result.passed
+    assert result.computed == "40 instances, 40 failures"
+    assert len(result.note.split("; ")) == 5
+    assert properties._RUNNERS == [run_never]
