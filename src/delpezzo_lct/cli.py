@@ -98,9 +98,9 @@ def _cmd_classes(args) -> int:
             "classes": [list(c.coeffs) for c in classes],
         }
         print(_dump_json(obj))
-    else:
-        for c in classes:
-            print(" ".join(str(x) for x in c.coeffs))
+    elif classes:
+        # One write for the whole listing; an empty listing prints nothing.
+        print("\n".join(" ".join(map(str, c.coeffs)) for c in classes))
     return EXIT_OK
 
 

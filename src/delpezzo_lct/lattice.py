@@ -43,6 +43,8 @@ class SurfaceModel:
     basis_kind: str = BLOWUP
 
     def __post_init__(self) -> None:
+        if type(self.degree) is not int:
+            raise LatticeError(f"degree {self.degree!r} is not an integer")
         if self.basis_kind == QUADRIC:
             if self.degree != 8:
                 raise LatticeError("quadric basis requires degree 8")
@@ -94,7 +96,7 @@ class SurfaceModel:
         return SurfaceModel(self.degree - 1, BLOWUP)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
     """An integer divisor class in the basis carried by ``surface``."""
 
@@ -111,6 +113,18 @@ class DivisorClass:
             raise LatticeError(
                 f"expected {self.surface.rank} coefficients, got {len(coeffs)}"
             )
+
+    @classmethod
+    def _derived(cls, surface: SurfaceModel, coeffs: tuple[int, ...]) -> "DivisorClass":
+        """A class whose ``coeffs`` are already an ``int`` tuple of length ``surface.rank``.
+
+        The enumerators produce such tuples by construction, so the checks of
+        the public constructor are not run again for each emitted class.
+        """
+        c = object.__new__(cls)
+        object.__setattr__(c, "surface", surface)
+        object.__setattr__(c, "coeffs", coeffs)
+        return c
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
         if self.surface != other.surface:
@@ -161,7 +175,7 @@ class DivisorClass:
 
 def make_surface(degree: int, basis_kind: str = BLOWUP) -> SurfaceModel:
     """Construct a del Pezzo surface model; degree 1..9, quadric only at 8."""
-    if not isinstance(degree, int) or not 1 <= degree <= 9:
+    if type(degree) is not int or not 1 <= degree <= 9:
         raise LatticeError(f"degree must be an integer in 1..9, got {degree!r}")
     return SurfaceModel(degree, basis_kind)
 
@@ -178,8 +192,10 @@ def arithmetic_genus(c: DivisorClass) -> Fraction:
     return c.genus
 
 
-def _vectors_with_sum_and_square(r: int, total: int, square: int) -> list[tuple[int, ...]]:
-    """All integer vectors of length r with given sum and sum of squares.
+def _vectors_with_sum_and_square(
+    r: int, total: int, square: int, head: tuple[int, ...] = ()
+) -> list[tuple[int, ...]]:
+    """``head`` + each integer vector of length r with given sum and sum of squares.
 
     Depth-first search that enters only branches the real relaxation can
     complete.  With ``left`` coordinates still to place, sum s and square q
@@ -187,37 +203,47 @@ def _vectors_with_sum_and_square(r: int, total: int, square: int) -> list[tuple[
     feasible, (s - c)^2 <= (left - 1)(q - c^2), exactly when
     (left*c - s)^2 <= D = (left - 1)(left*q - s^2), so c runs over
     [ceil((s - isqrt(D))/left), floor((s + isqrt(D))/left)].  The last two
-    coordinates are solved directly: c1 + c2 = s and (c1 - c2)^2 = 2q - s^2.
-    Each level's c ascends and the tail emits (small, big) before
+    coordinates are solved directly, in the loop over the third-last one:
+    c1 + c2 = s and (c1 - c2)^2 = 2q - s^2, which is >= 0 for every c of
+    that loop.  Each level's c ascends and a pair emits (small, big) before
     (big, small), so the output is duplicate-free and sorted
     lexicographically without a sorting pass.
     """
     if r == 0:
-        return [()] if total == square == 0 else []
+        return [head] if total == square == 0 else []
     if r == 1:
-        return [(total,)] if total * total == square else []
+        return [head + (total,)] if total * total == square else []
+    if r == 2:
+        e = 2 * square - total * total
+        t = isqrt(max(e, 0))
+        if t * t != e:
+            return []
+        small, big = (total - t) // 2, (total + t) // 2  # t and total have one parity
+        return [head + (small, big), head + (big, small)] if t else [head + (small, big)]
     out: list[tuple[int, ...]] = []
+    append = out.append
 
     def rec(prefix: tuple[int, ...], left: int, s: int, q: int) -> None:
-        if left == 2:
-            e = 2 * q - s * s
-            if e < 0:
-                return
-            t = isqrt(e)
-            if t * t == e:
-                small, big = (s - t) // 2, (s + t) // 2  # t and s have one parity
-                out.append(prefix + (small, big))
-                if t:
-                    out.append(prefix + (big, small))
-            return
         disc = (left - 1) * (left * q - s * s)
         if disc < 0:
             return
         t = isqrt(disc)
-        for c in range(-((t - s) // left), (s + t) // left + 1):
-            rec(prefix + (c,), left - 1, s - c, q - c * c)
+        cs = range(-((t - s) // left), (s + t) // left + 1)
+        if left > 3:
+            for c in cs:
+                rec(prefix + (c,), left - 1, s - c, q - c * c)
+            return
+        for c in cs:
+            s2 = s - c
+            e = 2 * (q - c * c) - s2 * s2
+            u = isqrt(e)
+            if u * u == e:
+                small, big = (s2 - u) // 2, (s2 + u) // 2
+                append(prefix + (c, small, big))
+                if u:
+                    append(prefix + (c, big, small))
 
-    rec((), r, total, square)
+    rec(head, r, total, square)
     return out
 
 
@@ -242,10 +268,11 @@ def _blowup_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[Divi
     if disc < 0:
         return []
     sq = isqrt(disc)
+    new = DivisorClass._derived
     return [
-        DivisorClass(surface, (a,) + tail)
+        new(surface, coeffs)
         for a in range(-((sq - 6 * deg) // (2 * d)), (6 * deg + sq) // (2 * d) + 1)
-        for tail in _vectors_with_sum_and_square(r, deg - 3 * a, a * a - self_int)
+        for coeffs in _vectors_with_sum_and_square(r, deg - 3 * a, a * a - self_int, (a,))
     ]
 
 
@@ -262,7 +289,7 @@ def _quadric_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[Div
         return []
     c1 = (s + t) // 2
     sols = {(c1, s - c1), (s - c1, c1)}
-    return [DivisorClass(surface, pair) for pair in sorted(sols)]
+    return [DivisorClass._derived(surface, pair) for pair in sorted(sols)]
 
 
 def enumerate_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[DivisorClass]:
@@ -272,6 +299,9 @@ def enumerate_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[Di
     yield an empty list.  Output is duplicate-free and sorted
     lexicographically on coefficient vectors (the canonical order).
     """
+    for name, value in (("anticanonical degree", deg), ("self-intersection", self_int)):
+        if type(value) is not int:
+            raise LatticeError(f"{name} {value!r} is not an integer")
     if deg < 1:
         raise LatticeError(f"anticanonical degree must be >= 1, got {deg}")
     if 2 + self_int - deg != 0:  # p_a = 1 + (self_int - deg)/2

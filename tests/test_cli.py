@@ -104,6 +104,18 @@ class TestClasses:
     def test_invalid_degree_exits_2(self, capsys):
         assert main(["classes", "--degree", "12", "--deg", "1", "--self", "-1"]) == 2
 
+    @pytest.mark.parametrize("query", [["3", "2", "5"], ["9", "1", "-1"]], ids=["genus", "p2"])
+    def test_empty_listing_prints_nothing(self, query, capsys):
+        degree, deg, self_int = query
+        assert main(["classes", "--degree", degree, "--deg", deg, "--self", self_int]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_listing_is_one_line_per_class(self, capsys):
+        assert main(["classes", "--degree", "4", "--deg", "1", "--self", "-1"]) == 0
+        lines = enumerate_classes(make_surface(4), 1, -1)
+        expected = "".join(" ".join(str(x) for x in c.coeffs) + "\n" for c in lines)
+        assert capsys.readouterr().out == expected
+
     def test_missing_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["classes", "--degree", "4"])

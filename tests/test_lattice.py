@@ -1,7 +1,9 @@
 """Tests for surface models, divisor classes, enumeration and isometries."""
 
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import re
 from fractions import Fraction
 from math import isqrt
@@ -25,7 +27,7 @@ from delpezzo_lct import (
     make_surface,
 )
 from delpezzo_lct.glct import class_A, class_C0, class_E, class_H, class_L, class_Q
-from delpezzo_lct.lattice import _vectors_with_sum_and_square
+from delpezzo_lct.lattice import SurfaceModel, _vectors_with_sum_and_square
 
 
 def test_make_surface_blowup_degree4():
@@ -61,6 +63,15 @@ def test_quadric_needs_degree_8():
         make_surface(4, QUADRIC)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2)])
+def test_surface_degree_must_be_an_int(bad):
+    # True == 1 and 2.0 == 2, so a range check alone lets them through.
+    with pytest.raises(LatticeError, match=re.escape(f"got {bad!r}")):
+        make_surface(bad)
+    with pytest.raises(LatticeError, match=re.escape(f"degree {bad!r} is not an integer")):
+        SurfaceModel(bad)
+
+
 @pytest.mark.parametrize("bad", [Fraction(7, 2), 1.9, Fraction(2), 2.0, True])
 def test_divisor_class_rejects_non_integer_coefficients(bad):
     # int() would truncate 7/2 to 3 and 1.9 to 1 and accept True as 1.
@@ -68,6 +79,15 @@ def test_divisor_class_rejects_non_integer_coefficients(bad):
     with pytest.raises(LatticeError, match=re.escape(f"coefficient {bad!r} is not an integer")):
         DivisorClass(s, (0, bad, 0, 0, 0, 0))
     assert DivisorClass(s, [0, 1, 0, 0, 0, 0]).coeffs == (0, 1, 0, 0, 0, 0)
+
+
+def test_divisor_class_is_slotted_and_frozen():
+    c = DivisorClass(make_surface(4), (1, -1, -1, 0, 0, 0))
+    assert not hasattr(c, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.coeffs = (0, 1, 0, 0, 0, 0)
+    copy = pickle.loads(pickle.dumps(c))
+    assert copy == c and hash(copy) == hash(c) and copy.coeffs == c.coeffs
 
 
 def test_intersect_examples():
@@ -179,6 +199,24 @@ def test_enumerate_rejects_nonpositive_degree():
         enumerate_classes(make_surface(4), 0, -2)
 
 
+@pytest.mark.parametrize(
+    "deg,self_int,message",
+    [
+        (2.0, 0, "anticanonical degree 2.0 is not an integer"),
+        (True, -1, "anticanonical degree True is not an integer"),
+        (Fraction(1), -1, "anticanonical degree Fraction(1, 1) is not an integer"),
+        (1, -1.0, "self-intersection -1.0 is not an integer"),
+        (2, False, "self-intersection False is not an integer"),
+    ],
+    ids=["deg_float", "deg_bool", "deg_fraction", "self_float", "self_bool"],
+)
+def test_enumerate_rejects_non_int_queries(deg, self_int, message):
+    # (True, -1) would otherwise list the 27 lines, and 2.0 reach isqrt.
+    with pytest.raises(LatticeError) as err:
+        enumerate_classes(make_surface(3), deg, self_int)
+    assert str(err.value) == message
+
+
 def test_enumerate_genus_filter_empties_mismatched_pairs():
     # p_a = 0 forces self = deg - 2.
     assert enumerate_classes(make_surface(4), 1, 0) == []
@@ -225,6 +263,30 @@ def test_vectors_with_sum_and_square_match_brute_force(r):
                 total,
                 square,
             )
+
+
+@pytest.mark.parametrize("head", [(7,), (0, -2)])
+@pytest.mark.parametrize("r", range(6))
+def test_vectors_with_sum_and_square_prepend_head(r, head):
+    for square in range(-1, 13):
+        for total in range(-6, 7):
+            plain = _vectors_with_sum_and_square(r, total, square)
+            assert _vectors_with_sum_and_square(r, total, square, head) == [head + v for v in plain]
+
+
+def test_enumerated_classes_pass_the_checking_constructor():
+    # Enumerators build their classes unchecked; each one must be what the
+    # public constructor would build from the same data.
+    seen = 0
+    for surface in [make_surface(d) for d in range(1, 10)] + [make_surface(8, QUADRIC)]:
+        for deg, self_int in itertools.product(range(1, 5), range(-3, 8)):
+            for c in enumerate_classes(surface, deg, self_int):
+                assert type(c.coeffs) is tuple
+                assert len(c.coeffs) == surface.rank
+                assert all(type(x) is int for x in c.coeffs)
+                assert c == DivisorClass(c.surface, c.coeffs)
+                seen += 1
+    assert seen > 82560 + 17520  # the two largest rows, degree-1 (4,2) and (3,1)
 
 
 @settings(max_examples=60, deadline=None)
