@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
-from . import clusters, glct, properties
-from .clusters import InconsistentConfigError
-from .configio import certificate_to_json_obj, certificate_to_text, parse_config_file
-from .lattice import enumerate_classes, make_surface
-from .rationals import format_rational, parse_rational
-from .report import Report
+# Each command imports the modules it runs when it runs, so that a process
+# pays only for its own subcommand: the suites reach theirs through the
+# package root, which loads a submodule on first attribute access.
+import delpezzo_lct as _package
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -31,19 +30,19 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _corollary(seed: int, cases: int) -> Report:
-    reports = (glct.verify_corollary(), glct.verify_complementary_sections())
-    return Report.merged("corollary", reports)
+def _corollary(seed: int, cases: int):
+    reports = (_package.glct.verify_corollary(), _package.glct.verify_complementary_sections())
+    return _package.Report.merged("corollary", reports)
 
 
 # Every suite `verify --suite` runs, in `--suite all` order: name -> runner(seed, cases).
 SUITES = {
-    "table1": lambda seed, cases: glct.verify_table1(),
-    "lines": lambda seed, cases: glct.verify_lines(),
-    "lemmaG": lambda seed, cases: glct.verify_lemma_G_all(),
-    "lemmaH": lambda seed, cases: glct.verify_lemma_H_all(),
+    "table1": lambda seed, cases: _package.glct.verify_table1(),
+    "lines": lambda seed, cases: _package.glct.verify_lines(),
+    "lemmaG": lambda seed, cases: _package.glct.verify_lemma_G_all(),
+    "lemmaH": lambda seed, cases: _package.glct.verify_lemma_H_all(),
     "corollary": _corollary,
-    "properties": properties.run_property_suites,
+    "properties": lambda seed, cases: _package.properties.run_property_suites(seed, cases),
 }
 
 
@@ -78,6 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lct.add_argument("--point", help="restrict to one marked point")
     p_lct.add_argument("--lambda", dest="lam", help="check log canonicity at p/q instead")
     p_lct.add_argument("--json", action="store_true")
+    # Before Python 3.13 argparse reads "-1/2" as an option flag, so that
+    # "--lambda -1/2" ended in a usage error.  No lct option starts with a
+    # digit, so a word "-<digit>..." is always a value.
+    p_lct._negative_number_matcher = re.compile(r"-\d")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=[*SUITES, "all"])
@@ -88,6 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_classes(args) -> int:
+    from .lattice import enumerate_classes, make_surface
+
     surface = make_surface(args.degree, args.basis)
     classes = enumerate_classes(surface, args.deg, args.self_int)
     if args.json:
@@ -105,7 +110,13 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_lct(args) -> int:
-    # Only the file read is guarded here: a closed stdout is an OSError too.
+    from . import clusters
+    from .configio import certificate_to_json_obj, certificate_to_text, parse_config_file
+    from .rationals import format_rational, parse_rational
+
+    # Only reading the file and building the configuration are guarded
+    # here: a closed stdout is an OSError too, and building is the one step
+    # that checks the declared intersections against the lattice.
     try:
         cfg = parse_config_file(args.config)
     except FileNotFoundError:
@@ -114,6 +125,8 @@ def _cmd_lct(args) -> int:
         return _fail(f"cannot read {args.config}: {e.strerror}")
     except UnicodeDecodeError as e:
         return _fail(f"cannot read {args.config}: {e}")
+    except clusters.InconsistentConfigError as e:
+        return _fail(f"inconsistent intersections: {e}", EXIT_INCONSISTENT)
     lam = None if args.lam is None else parse_rational(args.lam)
     if args.point is not None:
         cfg.point(args.point)
@@ -161,13 +174,11 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
 def _run(args) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
-    # The one boundary for bad input.  Every error the package raises for
-    # it is a ValueError (ClusterError, LatticeError, ConfigSyntaxError,
+    # The boundary for all other bad input.  Every error the package raises
+    # for it is a ValueError (ClusterError, LatticeError, ConfigSyntaxError,
     # ConfigSchemaError, a malformed --lambda).
     try:
         return _cmd_classes(args) if args.command == "classes" else _cmd_lct(args)
-    except InconsistentConfigError as e:
-        return _fail(f"inconsistent intersections: {e}", EXIT_INCONSISTENT)
     except ValueError as e:
         return _fail(str(e))
 

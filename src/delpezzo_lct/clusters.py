@@ -660,7 +660,7 @@ def is_log_canonical(
     """Whether (S, lam * D) is log canonical (at ``point_id`` if given)."""
     lam = Fraction(lam)
     if lam < 0:
-        raise ClusterError("the scaling factor must be nonnegative")
+        raise ClusterError(f"the scaling factor must be nonnegative, got {lam}")
     cert = certificate(cfg, point_id)
     verdict = cert.lct is None or lam <= cert.lct
     return verdict, cert

@@ -31,10 +31,26 @@ from .lattice import QUADRIC, DivisorClass, SurfaceModel, _require_finite_class_
 
 @lru_cache(maxsize=None)
 def _half_table(bound: int, ncoords: int):
+    """Integer vectors of ``ncoords`` entries with square < (bound + 1)^2,
+    in lexicographic order, keyed by (sum, square).
+
+    A half of a vector has at most the vector's square, so the ball holds
+    both halves of every vector of square below (bound + 1)^2; it lies in
+    the box [-bound, bound]^ncoords.  Vectors are extended one coordinate
+    at a time, each partial square below the cap.
+    """
+    cap = (bound + 1) ** 2
+    partial = [((), 0, 0)]
+    for _ in range(ncoords):
+        partial = [
+            (vec + (c,), s + c, q + c * c)
+            for vec, s, q in partial
+            for c in range(-bound, bound + 1)
+            if q + c * c < cap
+        ]
     table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for vec in itertools.product(range(-bound, bound + 1), repeat=ncoords):
-        key = (sum(vec), sum(c * c for c in vec))
-        table.setdefault(key, []).append(vec)
+    for vec, s, q in partial:
+        table.setdefault((s, q), []).append(vec)
     return table
 
 
@@ -43,7 +59,8 @@ def brute_force_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[
 
     Shares only the finiteness interval for the H-coefficient, and the
     refusal of K^2 = 0 where there is none, with the main enumerator; the
-    E-coordinate search is a plain table join over boxes.
+    E-coordinate search is a plain table join over one ball of half-vectors
+    that holds the halves for every H-coefficient in that interval.
     """
     if 2 + self_int - deg != 0:
         return []
@@ -69,17 +86,17 @@ def brute_force_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[
         sq = _isqrt(disc)
         lo = (6 * deg - sq) // (2 * d) - 1
         hi = (6 * deg + sq) // (2 * d) + 2
-        for a in range(lo, hi + 1):
-            if d * a * a - 6 * deg * a + (deg * deg + r * self_int) > 0:
-                continue
+        a_range = [
+            a for a in range(lo, hi + 1)
+            if d * a * a - 6 * deg * a + (deg * deg + r * self_int) <= 0 and a * a >= self_int
+        ]
+        if not a_range:
+            return []
+        bound = _isqrt(max(a * a for a in a_range) - self_int)
+        left = _half_table(bound, r // 2)
+        right = _half_table(bound, r - r // 2)
+        for a in a_range:
             square = a * a - self_int
-            if square < 0:
-                continue
-            bound = _isqrt(square)
-            n1 = r // 2
-            n2 = r - n1
-            left = _half_table(bound, n1)
-            right = _half_table(bound, n2)
             want_sum = deg - 3 * a
             for (s1, q1), vecs1 in left.items():
                 partner = right.get((want_sum - s1, square - q1))

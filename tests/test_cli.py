@@ -228,6 +228,12 @@ class TestLct:
         assert main(["lct", str(ROOT / "bench" / "data" / "deg4.json"), "--lambda=-1/2"]) == 2
         self._assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("flags", [["--lambda", "-1/2"], ["--lambda=-1/2"]],
+                             ids=["separate", "joined"])
+    def test_negative_lambda_is_named(self, flags, capsys):
+        assert main(["lct", str(ROOT / "bench" / "data" / "deg4.json"), *flags]) == 2
+        assert capsys.readouterr().err == "error: the scaling factor must be nonnegative, got -1/2\n"
+
     def test_directory_exits_2(self, tmp_path, capsys):
         assert main(["lct", str(tmp_path)]) == 2
         self._assert_one_error_line(capsys)
@@ -336,6 +342,56 @@ def test_reader_that_stops_after_one_line():
     proc.wait(timeout=60)
     assert line.decode().split() == [str(x) for x in first.coeffs]
     assert (proc.returncode, err) == (1, b"")
+
+
+def _loaded_modules(argv, tmp_path):
+    """Exit code of `cli.main(argv)` in a fresh interpreter, and the
+    `delpezzo_lct` modules it holds afterwards."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from delpezzo_lct import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    rc = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('delpezzo_lct.'))]))\n"
+    )
+    src_path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(src_path))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    rc, modules = json.loads(proc.stdout)
+    return rc, {m.removeprefix("delpezzo_lct.") for m in modules}
+
+
+DEG4 = str(ROOT / "bench" / "data" / "deg4.json")
+UNUSED_BY_LCT = {"glct", "properties", "oracles", "report"}
+
+
+class TestImports:
+    """A subcommand imports only the modules it runs."""
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_classes_loads_lattice_only(self, json_flag, tmp_path):
+        argv = ["classes", "--degree", "4", "--deg", "1", "--self", "-1", *json_flag]
+        assert _loaded_modules(argv, tmp_path) == (0, {"cli", "lattice"})
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["lct", DEG4], 0), (["lct", DEG4, "--lambda", "1", "--json"], 1),
+         (["lct", "malformed.json"], 2)],
+        ids=["plain", "lambda", "malformed"],
+    )
+    def test_lct_loads_no_suite_module(self, argv, code, tmp_path):
+        (tmp_path / "malformed.json").write_text('{"surface": {"degree": 4', encoding="utf-8")
+        rc, loaded = _loaded_modules(argv, tmp_path)
+        assert rc == code
+        assert {"cli", "clusters", "configio"} <= loaded
+        assert not loaded & UNUSED_BY_LCT
+
+    @pytest.mark.parametrize("suite", ["lines", "corollary"])
+    def test_verify_loads_no_property_suites(self, suite, tmp_path):
+        rc, loaded = _loaded_modules(["verify", "--suite", suite], tmp_path)
+        assert rc == 0
+        assert "glct" in loaded and "properties" not in loaded
 
 
 # sha256 of `verify --suite <name>` stdout, plain and --json, frozen so that

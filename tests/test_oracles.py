@@ -1,5 +1,6 @@
 """Oracle equivalence: recursion engines vs independent recomputation."""
 
+import itertools
 import random
 
 import pytest
@@ -121,6 +122,19 @@ def test_brute_force_matches_enumeration_on_conics_and_cubics(degree):
         fast = [c.coeffs for c in enumerate_classes(s, deg, self_int)]
         slow = [c.coeffs for c in brute_force_classes(s, deg, self_int)]
         assert fast == slow
+
+
+@pytest.mark.parametrize("ncoords", range(0, 5))
+@pytest.mark.parametrize("bound", range(0, 7))
+def test_half_table_is_the_box_cut_to_the_ball(bound, ncoords):
+    from delpezzo_lct import oracles
+
+    want: dict = {}
+    for vec in itertools.product(range(-bound, bound + 1), repeat=ncoords):
+        square = sum(c * c for c in vec)
+        if square < (bound + 1) ** 2:
+            want.setdefault((sum(vec), square), []).append(vec)
+    assert oracles._half_table(bound, ncoords) == want
 
 
 def test_resolver_names_the_depth_cap(monkeypatch):
