@@ -127,32 +127,24 @@ def _cmd_lct(args) -> int:
         return _fail(f"cannot read {args.config}: {e}")
     except clusters.InconsistentConfigError as e:
         return _fail(f"inconsistent intersections: {e}", EXIT_INCONSISTENT)
+    # The engine refuses an unknown --point (after a negative lambda).
     lam = None if args.lam is None else parse_rational(args.lam)
-    if args.point is not None:
-        cfg.point(args.point)
-
-    if lam is not None:
+    if lam is None:
+        verdict, cert = True, clusters.certificate(cfg, args.point)
+    else:
         verdict, cert = clusters.is_log_canonical(cfg, lam, args.point)
-        if args.json:
-            obj = certificate_to_json_obj(cert)
+    if args.json:
+        obj = certificate_to_json_obj(cert)
+        if lam is not None:
             obj["lambda"] = format_rational(lam)
             obj["log_canonical"] = verdict
-            print(_dump_json(obj))
-        else:
+        print(_dump_json(obj))
+    else:
+        if lam is not None:
             print(f"log_canonical = {'true' if verdict else 'false'} at lambda = "
                   f"{format_rational(lam)}")
-            print(certificate_to_text(cert))
-        return EXIT_OK if verdict else EXIT_NEGATIVE
-
-    if args.point is not None:
-        cert = clusters.lct_at_point(cfg, args.point)
-    else:
-        cert = clusters.lct_global(cfg)
-    if args.json:
-        print(_dump_json(certificate_to_json_obj(cert)))
-    else:
         print(certificate_to_text(cert))
-    return EXIT_OK
+    return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 def _cmd_verify(args) -> int:

@@ -70,15 +70,20 @@ _FIXED_ARITY = {kind: fixed for kind, (fixed, _) in _CATALOGUE.items() if fixed 
 
 @dataclass(frozen=True)
 class Germ:
-    """A catalogued curve germ; ``branches`` is the number of local branches."""
+    """A catalogued curve germ; ``branches`` is the number of local branches,
+    by default the count the kind fixes (1 where it fixes none)."""
 
     kind: str
-    branches: int = 1
+    branches: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in GERM_KINDS:
             raise ClusterError(f"unknown germ kind {self.kind!r}")
         fixed = _FIXED_ARITY.get(self.kind)
+        if self.branches is None:
+            object.__setattr__(self, "branches", fixed or 1)
+        elif type(self.branches) is not int:
+            raise ClusterError(f"{self.kind} germ branch count must be an integer, got {self.branches!r}")
         if fixed is not None and self.branches != fixed:
             raise ClusterError(f"{self.kind} germ has exactly {fixed} branches")
         if self.branches < 1:
@@ -90,19 +95,19 @@ class Germ:
 
     @classmethod
     def node(cls) -> "Germ":
-        return cls("node", 2)
+        return cls("node")
 
     @classmethod
     def cusp(cls) -> "Germ":
-        return cls("cusp", 1)
+        return cls("cusp")
 
     @classmethod
     def tacnode(cls) -> "Germ":
-        return cls("tacnode", 2)
+        return cls("tacnode")
 
     @classmethod
     def tacnode_curve(cls) -> "Germ":
-        return cls("tacnode_curve", 2)
+        return cls("tacnode_curve")
 
     @classmethod
     def ordinary(cls, m: int) -> "Germ":
@@ -154,10 +159,11 @@ class WeightedCluster:
         """A cluster derived from a valid one by a validity-preserving edit.
 
         ``rows`` are (id, parent, proximities, mults), taken as they are:
-        nodes never mutate their mults, so a rename shares them.  Input is
-        checked once, node by node and as a whole, by the public
-        constructors; renaming and blow-up slicing cannot break a valid
-        cluster, so neither check runs again here.
+        nodes never mutate their mults, so a renamed copy shares them.
+        Input is checked once, node by node and as a whole, by the public
+        constructors; renaming, blow-up slicing and scaling a germ template
+        by its branch counts cannot break a valid cluster, so neither check
+        runs again here.
         """
         nodes = []
         for nid, parent, prox, mults in rows:
@@ -178,7 +184,11 @@ class WeightedCluster:
         index = self._index
         if len(index) != len(self.nodes):
             raise ClusterError("duplicate node ids")
-        known = set(self.component_ids)
+        known: set[str] = set()
+        for comp in self.component_ids:
+            if comp in known:
+                raise ClusterError(f"duplicate component id {comp!r}")
+            known.add(comp)
         if self.nodes[0].parent is not None or any(n.parent is None for n in self.nodes[1:]):
             raise ClusterError("exactly one root is allowed and it must come first")
         for i, node in enumerate(self.nodes):
@@ -241,9 +251,6 @@ class WeightedCluster:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {n.id: i for i, n in enumerate(self.nodes)}
-
-    def node(self, node_id: str) -> ClusterNode:
-        return self.nodes[self._position(node_id)]
 
     def _position(self, node_id: str) -> int:
         try:
@@ -312,20 +319,6 @@ class WeightedCluster:
         )
         return root.mult(component) - used
 
-    def relabelled(self, prefix: str) -> "WeightedCluster":
-        """The same cluster with ``prefix`` before every node id."""
-        ren = {n.id: f"{prefix}{n.id}" for n in self.nodes}
-        rows = (
-            (
-                ren[n.id],
-                None if n.parent is None else ren[n.parent],
-                tuple(ren[a] for a in n.proximate_to),
-                n.mults,
-            )
-            for n in self.nodes
-        )
-        return WeightedCluster._derived(rows, self.component_ids)
-
 
 def canonical_form(cluster: WeightedCluster):
     """An id- and sibling-order-independent encoding of a cluster.
@@ -346,6 +339,14 @@ def canonical_form(cluster: WeightedCluster):
     return form(cluster.root)
 
 
+def _exact(value, what: str) -> Fraction:
+    """``value`` as a Fraction.  A float is refused, since ``Fraction(0.1)``
+    is the binary fraction nearest 0.1, and so is a bool, which is no number."""
+    if isinstance(value, (float, bool)):
+        raise ClusterError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class Component:
     """A configuration component: a lattice class with a rational coefficient."""
@@ -355,7 +356,7 @@ class Component:
     coeff: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", _exact(self.coeff, f"coefficient of {self.id!r}"))
 
 
 @dataclass(frozen=True)
@@ -393,38 +394,39 @@ class ConfigPoint:
 
 
 def _compile_germ(point: ConfigPoint) -> WeightedCluster:
-    cluster = point.germ
-    if isinstance(cluster, WeightedCluster):
+    """The point's cluster, ``"<point id>."`` prefixed to each node id as
+    its row is made: an explicit cluster's own rows, or the germ template's
+    scaled by the branches of each component, valid by construction (the
+    tests check every kind), so no check runs here."""
+    germ = point.germ
+    if isinstance(germ, WeightedCluster):
         if point.incident:
             raise ClusterError(
                 f"point {point.id!r}: explicit clusters carry their own incidence data"
             )
+        rows = ((n.id, n.parent, n.proximate_to, n.mults) for n in germ.nodes)
+        comp_ids = germ.component_ids
     else:
-        cluster = _instantiate(cluster, point)
-    return cluster.relabelled(f"{point.id}.")
-
-
-def _instantiate(germ: Germ, point: ConfigPoint) -> WeightedCluster:
-    """The germ's template with node ids n0, n1, ... and the point's branches.
-
-    A template row scaled by the branch counts of each component is valid
-    by construction (the tests check every kind), so no check runs here.
-    """
-    slots = sorted(inc.branch for inc in point.incident)
-    if slots != list(range(germ.branches)):
-        raise ClusterError(
-            f"point {point.id!r}: germ {germ.kind}({germ.branches}) needs branch "
-            f"slots 0..{germ.branches - 1}, got {slots}"
+        slots = sorted(inc.branch for inc in point.incident)
+        if slots != list(range(germ.branches)):
+            raise ClusterError(
+                f"point {point.id!r}: germ {germ.kind}({germ.branches}) needs branch "
+                f"slots 0..{germ.branches - 1}, got {slots}"
+            )
+        # Branches per component, counted in branch order (the order of the mults).
+        branches: dict[str, int] = {}
+        for inc in sorted(point.incident, key=operator.attrgetter("branch")):
+            branches[inc.component] = branches.get(inc.component, 0) + 1
+        rows = (
+            (nid, parent, prox, {comp: m * k for comp, k in branches.items()})
+            for nid, parent, prox, m in _CATALOGUE[germ.kind][1]
         )
-    # Branches per component, counted in branch order (the order of the mults).
-    branches: dict[str, int] = {}
-    for inc in sorted(point.incident, key=operator.attrgetter("branch")):
-        branches[inc.component] = branches.get(inc.component, 0) + 1
+        comp_ids = tuple(dict.fromkeys(inc.component for inc in point.incident))
+    pre = f"{point.id}."
     rows = (
-        (nid, parent, prox, {comp: m * k for comp, k in branches.items()})
-        for nid, parent, prox, m in _CATALOGUE[germ.kind][1]
+        (pre + nid, None if parent is None else pre + parent, tuple(pre + a for a in prox), mults)
+        for nid, parent, prox, mults in rows
     )
-    comp_ids = tuple(dict.fromkeys(inc.component for inc in point.incident))
     return WeightedCluster._derived(rows, comp_ids)
 
 
@@ -489,12 +491,6 @@ class DivisorConfiguration:
             if c.id == comp_id:
                 return c
         raise ClusterError(f"unknown component {comp_id!r}")
-
-    def point(self, point_id: str) -> ConfigPoint:
-        for p in self.points:
-            if p.id == point_id:
-                return p
-        raise ClusterError(f"unknown point {point_id!r}")
 
     def cluster_at(self, point_id: str) -> WeightedCluster:
         try:
@@ -658,7 +654,7 @@ def is_log_canonical(
     cfg: DivisorConfiguration, lam: Fraction, point_id: Optional[str] = None
 ) -> tuple[bool, LctCertificate]:
     """Whether (S, lam * D) is log canonical (at ``point_id`` if given)."""
-    lam = Fraction(lam)
+    lam = _exact(lam, "the scaling factor")
     if lam < 0:
         raise ClusterError(f"the scaling factor must be nonnegative, got {lam}")
     cert = certificate(cfg, point_id)
@@ -681,16 +677,16 @@ def non_klt_locus(cfg: DivisorConfiguration, lam: Fraction) -> tuple[frozenset[s
     discrepancy <= -1 for (S, lam*D), i.e. its coefficient lam*v - k in the
     log pullback reaches 1.
     """
-    lam = Fraction(lam)
+    lam = _exact(lam, "the scaling factor")
     comps = frozenset(c.id for c in cfg.components if lam * c.coeff >= 1)
     pts = frozenset(r.point for r in certificate(cfg).rows if lam * r.v - r.k >= 1)
     return comps, pts
 
 
 def scale_configuration(cfg: DivisorConfiguration, lam: Fraction) -> DivisorConfiguration:
-    lam = Fraction(lam)
+    lam = _exact(lam, "scaling factor")
     if lam <= 0:
-        raise ClusterError("scaling factor must be positive")
+        raise ClusterError(f"scaling factor must be positive, got {lam}")
     return with_coefficients(cfg, {c.id: lam * c.coeff for c in cfg.components})
 
 
@@ -700,7 +696,7 @@ def with_coefficients(
     return DivisorConfiguration(
         cfg.surface,
         tuple(
-            Component(c.id, c.cls, Fraction(coeffs.get(c.id, c.coeff)))
+            Component(c.id, c.cls, coeffs.get(c.id, c.coeff))
             for c in cfg.components
         ),
         cfg.points,

@@ -26,7 +26,6 @@ from typing import Union
 
 from .clusters import (
     _FIXED_ARITY,
-    GERM_KINDS,
     ClusterNode,
     Component,
     ConfigPoint,
@@ -57,18 +56,16 @@ _GERM_RE = re.compile(r"^([a-z_]+)(?:\((\d+)\))?$")
 
 
 def germ_from_string(text: str) -> Germ:
+    """A germ name with an optional branch count; `Germ` checks the rest."""
     m = _GERM_RE.match(text.strip())
     if not m:
         raise ValueError(f"malformed germ {text!r}")
-    kind, arg = m.group(1), m.group(2)
-    if kind not in GERM_KINDS:
-        raise ValueError(f"unknown germ {kind!r}")
-    fixed = _FIXED_ARITY.get(kind)
-    if fixed is None:
-        return Germ(kind, int(arg) if arg is not None else 1)
-    if arg is not None:
+    kind, arg = m.groups()
+    if arg is None:
+        return Germ(kind)
+    if kind in _FIXED_ARITY:
         raise ValueError(f"germ {kind!r} takes no branch count")
-    return Germ(kind, fixed)
+    return Germ(kind, int(arg))
 
 
 def germ_to_string(germ: Germ) -> str:

@@ -464,10 +464,9 @@ def _lemma_h_config(case: str) -> DivisorConfiguration:
         )
         cluster = _explicit_two_level(["A5", "R125", "R135", "R145", "Q5"], ["E1"])
         return DivisorConfiguration(s, comps, (ConfigPoint("p", cluster),))
-    if case == "2.3":
-        comps = (Component("Q1", class_Q(s, 1), 1), Component("E1", class_E(s, 1), 1))
-        return DivisorConfiguration(s, comps, (_through("p", Germ.tacnode(), ("Q1", "E1")),))
-    raise KeyError(f"unknown case {case!r}")
+    # "2.3": `verify_lemma_H` has refused every other case.
+    comps = (Component("Q1", class_Q(s, 1), 1), Component("E1", class_E(s, 1), 1))
+    return DivisorConfiguration(s, comps, (_through("p", Germ.tacnode(), ("Q1", "E1")),))
 
 
 _H_CASES = ("1.1", "1.2a", "1.2b", "2.1", "2.2", "2.3")

@@ -180,6 +180,15 @@ class TestLct:
     def test_unknown_point_exits_2(self, cusp_file, capsys):
         assert main(["lct", cusp_file, "--point", "zzz"]) == 2
 
+    def test_unknown_point_is_named(self, capsys):
+        assert main(["lct", str(ROOT / "bench" / "data" / "deg4.json"), "--point", "nosuch"]) == 2
+        assert capsys.readouterr().err == "error: unknown point 'nosuch'\n"
+
+    def test_negative_lambda_is_named_before_an_unknown_point(self, capsys):
+        argv = ["lct", str(ROOT / "bench" / "data" / "deg4.json"), "--point", "nosuch", "--lambda=-1/2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: the scaling factor must be nonnegative, got -1/2\n"
+
     def test_json_round_trip_is_byte_exact(self, cusp_file, capsys):
         assert main(["lct", cusp_file, "--json"]) == 0
         first = capsys.readouterr().out
@@ -299,6 +308,12 @@ class TestVerify:
             main(["verify", "--suite", "properties", "--cases", cases])
         assert exc.value.code == 2
         assert "--cases: must be at least 1" in capsys.readouterr().err
+
+    def test_non_integer_cases_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "properties", "--cases", "x"])
+        assert exc.value.code == 2
+        assert "--cases: invalid int value: 'x'" in capsys.readouterr().err
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:

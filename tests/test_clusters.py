@@ -32,7 +32,7 @@ from delpezzo_lct import (
     valuation,
     with_coefficients,
 )
-from delpezzo_lct.clusters import _CATALOGUE, _instantiate
+from delpezzo_lct.clusters import _CATALOGUE
 from delpezzo_lct.glct import class_E, class_L
 from delpezzo_lct.properties import _random_point_config
 
@@ -305,7 +305,7 @@ def _smooth_point(cid):
         ),
         pytest.param(
             lambda: scale_configuration(DivisorConfiguration(S9, (_comp("c"),), ()), 0),
-            "scaling factor must be positive",
+            "scaling factor must be positive, got 0",
             id="scale_by_zero",
         ),
         pytest.param(
@@ -318,6 +318,21 @@ def _smooth_point(cid):
         pytest.param(lambda: Germ("spiral"), "unknown germ kind 'spiral'", id="germ_kind"),
         pytest.param(lambda: Germ("node", 3), "node germ has exactly 2 branches", id="germ_arity"),
         pytest.param(lambda: Germ("ordinary", 0), "a germ needs at least one branch", id="germ_branches"),
+        pytest.param(
+            lambda: Germ("ordinary", 2.0),
+            "ordinary germ branch count must be an integer, got 2.0",
+            id="germ_float_branches",
+        ),
+        pytest.param(
+            lambda: Germ("ordinary", True),
+            "ordinary germ branch count must be an integer, got True",
+            id="germ_bool_branches",
+        ),
+        pytest.param(
+            lambda: DivisorConfiguration(S9, (_comp("c"),), (_smooth_point("c"),)).cluster_at("q"),
+            "unknown point 'q'",
+            id="cluster_at_unknown_point",
+        ),
         pytest.param(
             lambda: DivisorConfiguration(
                 S9,
@@ -337,6 +352,58 @@ def test_input_error_messages(build, message):
     with pytest.raises(ClusterError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_germ_branches_default_to_the_catalogue_count():
+    for kind, (fixed, _) in _CATALOGUE.items():
+        assert Germ(kind).branches == (fixed or 1)
+    assert Germ("node") == Germ.node() == Germ("node", 2)
+    assert Germ("ordinary") == Germ("ordinary", 1)
+
+
+def test_repeated_component_id_is_refused():
+    """Listed twice, the column of 'c' was counted twice: lct 1/2, not 1."""
+    cls = DivisorClass(S9, (3,))
+
+    def single_point(comp_ids):
+        cluster = WeightedCluster((ClusterNode("n0", None, (), {"c": 2}),), comp_ids)
+        return DivisorConfiguration(S9, (Component("c", cls, 1),), (ConfigPoint("p", cluster),))
+
+    assert lct_global(single_point(("c",))).lct == 1
+    with pytest.raises(ClusterError) as err:
+        single_point(("c", "c"))
+    assert str(err.value) == "duplicate component id 'c'"
+
+
+def _plane_line():
+    return DivisorConfiguration(S9, (_comp("c", Fraction(1, 2)),), (_smooth_point("c"),))
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True], ids=["float", "integral_float", "bool"])
+@pytest.mark.parametrize(
+    "entry,what",
+    [
+        (lambda x: Component("c", DivisorClass(S9, (5,)), x), "coefficient of 'c'"),
+        (lambda x: is_log_canonical(_plane_line(), x), "the scaling factor"),
+        (lambda x: non_klt_locus(_plane_line(), x), "the scaling factor"),
+        (lambda x: scale_configuration(_plane_line(), x), "scaling factor"),
+        (lambda x: with_coefficients(_plane_line(), {"c": x}), "coefficient of 'c'"),
+    ],
+    ids=["Component", "is_log_canonical", "non_klt_locus", "scale_configuration", "with_coefficients"],
+)
+def test_inexact_numbers_are_refused(entry, what, value):
+    with pytest.raises(ClusterError) as err:
+        entry(value)
+    assert str(err.value) == f"{what} must be an int or a Fraction, got {value!r}"
+
+
+def test_exact_numbers_are_taken():
+    cfg = _plane_line()
+    assert Component("c", DivisorClass(S9, (5,)), 2).coeff == 2
+    assert is_log_canonical(cfg, 2) == is_log_canonical(cfg, Fraction(2))
+    assert non_klt_locus(cfg, 4) == (frozenset({"c"}), frozenset({"p"}))
+    assert scale_configuration(cfg, 3).coefficients == {"c": Fraction(3, 2)}
+    assert with_coefficients(cfg, {"c": 4}).coefficients == {"c": 4}
 
 
 class TestMultiplicityAt:
@@ -723,7 +790,7 @@ def _catalogue_points():
 def test_catalogue_templates_pass_the_checking_constructor():
     kinds = set()
     for point in _catalogue_points():
-        cluster = _instantiate(point.germ, point)
+        cluster = point.cluster
         nodes = tuple(ClusterNode(n.id, n.parent, n.proximate_to, n.mults) for n in cluster.nodes)
         WeightedCluster(nodes, cluster.component_ids)
         assert cluster.component_ids == tuple(dict.fromkeys(i.component for i in point.incident))

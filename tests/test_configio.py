@@ -56,6 +56,24 @@ def test_schema_errors_carry_paths(mutate, path_fragment):
     assert path_fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "germ,message",
+    [
+        ("node(2", "malformed germ 'node(2'"),
+        ("node(2)", "germ 'node' takes no branch count"),
+        ("hexagon", "unknown germ kind 'hexagon'"),
+        ("ordinary(0)", "a germ needs at least one branch"),
+    ],
+    ids=["malformed", "fixed_count_given", "unknown_kind", "no_branch"],
+)
+def test_germ_string_errors_name_the_germ(germ, message):
+    obj = minimal_obj()
+    obj["points"][0]["germ"] = germ
+    with pytest.raises(ConfigSchemaError) as exc:
+        parse_config_text(json.dumps(obj))
+    assert str(exc.value) == f"invalid config at $.points[0].germ: {message}"
+
+
 def _cluster_point(mult):
     return {
         "id": "p",

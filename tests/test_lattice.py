@@ -37,6 +37,28 @@ def test_make_surface_blowup_degree4():
     assert s.canonical.dot(s.canonical) == 4
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: SurfaceModel(10), "degree must be in 0..9, got 10"),
+        (lambda: SurfaceModel(4, "cubic"), "unknown basis kind 'cubic'"),
+        (lambda: SurfaceModel(0).blow_up(), "refusing to blow up below degree 0"),
+        (lambda: class_E(make_surface(4), 1) + class_E(make_surface(5), 1),
+         "classes live on different surface models"),
+    ],
+    ids=["degree_10", "basis_kind", "blow_up_degree_0", "add_across_surfaces"],
+)
+def test_surface_and_class_errors(build, message):
+    with pytest.raises(LatticeError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_class_addition():
+    s = make_surface(4)
+    assert (class_E(s, 1) + class_L(s, 1, 2)).coeffs == (1, 0, -1, 0, 0, 0)
+
+
 def test_make_surface_p2():
     s = make_surface(9)
     assert s.rank == 1
