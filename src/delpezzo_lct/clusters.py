@@ -158,12 +158,11 @@ class WeightedCluster:
     ) -> "WeightedCluster":
         """A cluster derived from a valid one by a validity-preserving edit.
 
-        ``rows`` are (id, parent, proximities, mults), taken as they are:
-        nodes never mutate their mults, so a renamed copy shares them.
+        ``rows`` are (id, parent, proximities, mults), taken as they are.
         Input is checked once, node by node and as a whole, by the public
-        constructors; renaming, blow-up slicing and scaling a germ template
-        by its branch counts cannot break a valid cluster, so neither check
-        runs again here.
+        constructors; blow-up slicing and scaling a germ template by its
+        branch counts cannot break a valid cluster, so neither check runs
+        again here.
         """
         nodes = []
         for nid, parent, prox, mults in rows:
@@ -361,8 +360,14 @@ class Component:
 
 @dataclass(frozen=True)
 class Incidence:
+    """Branch slot ``branch`` of a germ lies on ``component``."""
+
     component: str
     branch: int
+
+    def __post_init__(self) -> None:
+        if type(self.branch) is not int:
+            raise ClusterError(f"branch slot of {self.component!r} must be an integer, got {self.branch!r}")
 
 
 @dataclass(frozen=True)
@@ -384,7 +389,8 @@ class ConfigPoint:
 
     @cached_property
     def cluster(self) -> WeightedCluster:
-        """The compiled cluster, node ids prefixed with ``"<point id>."``.
+        """The compiled cluster: an explicit cluster itself, or the germ
+        template with node ids ``n0, n1, ...``.
 
         Compiled once per point: every configuration holding this point
         (scaled, re-weighted, or blown up elsewhere) shares the cluster and
@@ -394,39 +400,31 @@ class ConfigPoint:
 
 
 def _compile_germ(point: ConfigPoint) -> WeightedCluster:
-    """The point's cluster, ``"<point id>."`` prefixed to each node id as
-    its row is made: an explicit cluster's own rows, or the germ template's
-    scaled by the branches of each component, valid by construction (the
-    tests check every kind), so no check runs here."""
+    """The point's cluster: an explicit cluster as it is, or the germ
+    template scaled by the branches of each component, valid by
+    construction (the tests check every kind), so no check runs here."""
     germ = point.germ
     if isinstance(germ, WeightedCluster):
         if point.incident:
             raise ClusterError(
                 f"point {point.id!r}: explicit clusters carry their own incidence data"
             )
-        rows = ((n.id, n.parent, n.proximate_to, n.mults) for n in germ.nodes)
-        comp_ids = germ.component_ids
-    else:
-        slots = sorted(inc.branch for inc in point.incident)
-        if slots != list(range(germ.branches)):
-            raise ClusterError(
-                f"point {point.id!r}: germ {germ.kind}({germ.branches}) needs branch "
-                f"slots 0..{germ.branches - 1}, got {slots}"
-            )
-        # Branches per component, counted in branch order (the order of the mults).
-        branches: dict[str, int] = {}
-        for inc in sorted(point.incident, key=operator.attrgetter("branch")):
-            branches[inc.component] = branches.get(inc.component, 0) + 1
-        rows = (
-            (nid, parent, prox, {comp: m * k for comp, k in branches.items()})
-            for nid, parent, prox, m in _CATALOGUE[germ.kind][1]
+        return germ
+    slots = sorted(inc.branch for inc in point.incident)
+    if slots != list(range(germ.branches)):
+        raise ClusterError(
+            f"point {point.id!r}: germ {germ.kind}({germ.branches}) needs branch "
+            f"slots 0..{germ.branches - 1}, got {slots}"
         )
-        comp_ids = tuple(dict.fromkeys(inc.component for inc in point.incident))
-    pre = f"{point.id}."
+    # Branches per component, counted in branch order (the order of the mults).
+    branches: dict[str, int] = {}
+    for inc in sorted(point.incident, key=operator.attrgetter("branch")):
+        branches[inc.component] = branches.get(inc.component, 0) + 1
     rows = (
-        (pre + nid, None if parent is None else pre + parent, tuple(pre + a for a in prox), mults)
-        for nid, parent, prox, mults in rows
+        (nid, parent, prox, {comp: m * k for comp, k in branches.items()})
+        for nid, parent, prox, m in _CATALOGUE[germ.kind][1]
     )
+    comp_ids = tuple(dict.fromkeys(inc.component for inc in point.incident))
     return WeightedCluster._derived(rows, comp_ids)
 
 
@@ -515,8 +513,7 @@ class DivisorConfiguration:
     def _check_consistency(self) -> None:
         totals: dict[tuple[str, str], int] = {}
         for pid, cluster in self._clusters.items():
-            present = [c for c in cluster.component_ids]
-            for i, j in itertools.combinations(present, 2):
+            for i, j in itertools.combinations(cluster.component_ids, 2):
                 key = (i, j) if i < j else (j, i)
                 totals[key] = totals.get(key, 0) + cluster.local_intersection_pair(i, j)
         for (i, j), local in totals.items():
@@ -597,7 +594,8 @@ def _incident_components(cfg: DivisorConfiguration, point_id: str) -> list[str]:
 
 
 def _point_rows(cfg: DivisorConfiguration, point_id: str) -> list[CertificateRow]:
-    """The cluster rows at one point, each v_q(D) an integer linear form.
+    """The cluster rows at one point, each v_q(D) an integer linear form,
+    each node named ``"<point id>.<node id>"``.
 
     Over the common denominator L of the coefficients d_i at the point,
     v_q(D) = (sum_i (d_i * L) * v_q(C_i)) / L with integer terms, so a row
@@ -611,7 +609,7 @@ def _point_rows(cfg: DivisorConfiguration, point_id: str) -> list[CertificateRow
     for node_id, k, vals in cluster._forms:
         v = sum(map(operator.mul, nums, vals))
         ratio = Fraction((k + 1) * den, v) if v > 0 else None
-        rows.append(CertificateRow(point_id, node_id, k, Fraction(v, den), ratio))
+        rows.append(CertificateRow(point_id, f"{point_id}.{node_id}", k, Fraction(v, den), ratio))
     return rows
 
 
@@ -704,8 +702,9 @@ def with_coefficients(
     )
 
 
-def _subtree_point(cluster: WeightedCluster, child_id: str, exc_id: str) -> ConfigPoint:
-    """The marked point on E under the direction ``child_id`` of the root.
+def _subtree_point(point_id: str, cluster: WeightedCluster, child_id: str, exc_id: str) -> ConfigPoint:
+    """The marked point ``"<point id>.<child id>"`` on E under the direction
+    ``child_id`` of the root; its cluster keeps the nodes' own ids.
 
     The slice of a valid cluster is valid: E's strict transform passes
     through the chain of nodes proximate to the root, once each.
@@ -730,7 +729,7 @@ def _subtree_point(cluster: WeightedCluster, child_id: str, exc_id: str) -> Conf
             prox = ()
         rows.append((node.id, parent, prox, mults))
     return ConfigPoint(
-        child_id, WeightedCluster._derived(rows, tuple(comp_ids) + (exc_id,))
+        f"{point_id}.{child_id}", WeightedCluster._derived(rows, tuple(comp_ids) + (exc_id,))
     )
 
 
@@ -769,7 +768,7 @@ def transform_by_blowup(cfg: DivisorConfiguration, point_id: str) -> DivisorConf
         # Same germ, untouched cluster: rebuild against the new classes.
         new_points.append(p)
     for child in cluster.children(root.id):
-        new_points.append(_subtree_point(cluster, child.id, exc_id))
+        new_points.append(_subtree_point(point_id, cluster, child.id, exc_id))
     for comp_id in cluster.component_ids:
         for n in range(cluster.root_slack(comp_id)):
             new_points.append(

@@ -386,7 +386,7 @@ def verify_lemma_G(case: str) -> Report:
     elif case == "case2":
         cfg = _lemma_g_case2()
         results += _standard_checks("lemma_G.case2", cfg, _G_DEGREE_BOUND)
-        v_root = cfg.cluster_at("p").divisor_valuation("p.n0", cfg.coefficients)
+        v_root = cfg.cluster_at("p").divisor_valuation("n0", cfg.coefficients)
         results.append(
             CheckResult(
                 "lemma_G.case2.root_valuation",
@@ -489,8 +489,8 @@ _CASE22_UPPER = {
 
 def _case22_checks(cid: str, cfg: DivisorConfiguration) -> list[CheckResult]:
     cluster = cfg.cluster_at("p")
-    v1 = cluster.divisor_valuation("p.n0", cfg.coefficients)
-    v2 = cluster.divisor_valuation("p.n1", cfg.coefficients)
+    v1 = cluster.divisor_valuation("n0", cfg.coefficients)
+    v2 = cluster.divisor_valuation("n1", cfg.coefficients)
     a1 = _LAMBDA * v1 - 1
     a2 = _LAMBDA * v2 - 2
     cls = {c.id: c.cls for c in clusters.transform_by_blowup(cfg, "p").components}

@@ -268,15 +268,11 @@ class _Curve:
 
 
 def _needs_blowup(curves: list[_Curve]) -> bool:
-    if any(c.mult() >= 2 for c in curves):
+    # A group holds at least one curve and the new exceptional curve.
+    if any(c.mult() >= 2 for c in curves) or len(curves) >= 3:
         return True
-    if len(curves) >= 3:
-        return True
-    if len(curves) == 2:
-        (x1, y1) = curves[0].tangent()
-        (x2, y2) = curves[1].tangent()
-        return x1 * y2 - y1 * x2 == 0
-    return False
+    (x1, y1), (x2, y2) = (c.tangent() for c in curves)
+    return x1 * y2 - y1 * x2 == 0
 
 
 def _unresolved(curves: list[_Curve]) -> ClusterError:
@@ -347,9 +343,8 @@ def _germ_parametrizations(germ: Germ) -> dict:
         return {0: ([0, 1], [0, 1]), 1: ([0, 1], [0, -1])}
     if germ.kind in ("tacnode", "tacnode_curve"):
         return {0: ([0, 1], [0, 0, 1]), 1: ([0, 1], [0, 0, -1])}
-    if germ.kind == "cusp":
-        return {0: ([0, 0, 1], [0, 0, 0, 1])}
-    raise ClusterError(f"unknown germ kind {germ.kind!r}")
+    # `Germ` refuses unknown kinds, so this is the cusp.
+    return {0: ([0, 0, 1], [0, 0, 0, 1])}
 
 
 def resolve_germ(germ: Germ, branch_to_component: dict[int, str]) -> WeightedCluster:

@@ -349,12 +349,12 @@ def test_closed_stdout_ends_quietly(argv):
 def test_reader_that_stops_after_one_line():
     # 17,520 cubic lines overflow the pipe buffer after the reader has gone.
     first = enumerate_classes(make_surface(1), 3, 1)[0]
-    proc = _dplct(["classes", "--degree", "1", "--deg", "3", "--self", "1"],
-                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    line = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.wait(timeout=60)
+    with _dplct(["classes", "--degree", "1", "--deg", "3", "--self", "1"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
     assert line.decode().split() == [str(x) for x in first.coeffs]
     assert (proc.returncode, err) == (1, b"")
 

@@ -137,7 +137,7 @@ class TestLogDiscrepancy:
         )
         cfg = explicit_config(nodes, ("c",), {"c": ONE})
         cl = compile_configuration(cfg, "p")
-        assert log_discrepancy(cl, "p.n1") == 3
+        assert log_discrepancy(cl, "n1") == 3
 
 
 class TestClusterValidation:
@@ -327,6 +327,21 @@ def _smooth_point(cid):
             lambda: Germ("ordinary", True),
             "ordinary germ branch count must be an integer, got True",
             id="germ_bool_branches",
+        ),
+        pytest.param(
+            lambda: ConfigPoint("p", Germ.smooth(2), (Incidence("c", False), Incidence("c", True))),
+            "branch slot of 'c' must be an integer, got False",
+            id="incidence_bool_slots",
+        ),
+        pytest.param(
+            lambda: Incidence("c", True),
+            "branch slot of 'c' must be an integer, got True",
+            id="incidence_bool_slot",
+        ),
+        pytest.param(
+            lambda: Incidence("c", 0.0),
+            "branch slot of 'c' must be an integer, got 0.0",
+            id="incidence_float_slot",
         ),
         pytest.param(
             lambda: DivisorConfiguration(S9, (_comp("c"),), (_smooth_point("c"),)).cluster_at("q"),
@@ -689,6 +704,12 @@ def test_compiled_point_is_shared_and_checked_per_configuration():
         DivisorConfiguration(s, (Component("d", DivisorClass(s, (5,)), ONE),), cfg.points)
 
 
+def test_points_sharing_one_cluster_name_their_rows_apart():
+    cluster = WeightedCluster((ClusterNode("n0", None, (), {"c": 1}),), ("c",))
+    cfg = DivisorConfiguration(S9, (_comp("c"),), (ConfigPoint("p", cluster), ConfigPoint("q", cluster)))
+    assert [(r.point, r.node) for r in lct_global(cfg).rows] == [("p", "p.n0"), ("q", "q.n0")]
+
+
 def test_certificate_is_computed_once_per_scope():
     cfg = plane_config(Germ.ordinary(3), {0: "a", 1: "b", 2: "c"})
     cert = lct_global(cfg)
@@ -705,7 +726,7 @@ def _reference_rows(cfg):
         for node in cluster.nodes:
             v = cluster.divisor_valuation(node.id, cfg.coefficients)
             k = log_discrepancy(cluster, node.id) - 1
-            rows.append((p.id, node.id, k, v, Fraction(k + 1) / v if v > 0 else None))
+            rows.append((p.id, f"{p.id}.{node.id}", k, v, Fraction(k + 1) / v if v > 0 else None))
     return rows
 
 
@@ -749,8 +770,8 @@ def test_derived_clusters_pass_the_checking_constructor():
 def test_each_node_is_checked_once(monkeypatch):
     # A catalogued germ is a constant template (checked by the catalogue test
     # below), so compiling it runs no node check.  An explicit cluster's nodes
-    # are checked once, when built; the rename to "p.n<i>" and the blow-up
-    # slices reuse the checked data.
+    # are checked once, when built; the compiled point is that cluster, and
+    # the blow-up slices reuse the checked data.
     checked = []
     check = ClusterNode.__post_init__
 
@@ -760,7 +781,7 @@ def test_each_node_is_checked_once(monkeypatch):
 
     monkeypatch.setattr(ClusterNode, "__post_init__", counting)
     germ_cfg = plane_config(Germ.cusp(), {0: "c"})
-    assert [n.id for n in germ_cfg.cluster_at("p").nodes] == ["p.n0", "p.n1", "p.n2"]
+    assert [n.id for n in germ_cfg.cluster_at("p").nodes] == ["n0", "n1", "n2"]
     once = transform_by_blowup(germ_cfg, "p")
     transform_by_blowup(once, once.points[0].id)
     assert checked == []
@@ -771,7 +792,7 @@ def test_each_node_is_checked_once(monkeypatch):
         ClusterNode("n2", "n1", ("n1", "n0"), {"c": 1}),
     )
     cfg = explicit_config(nodes, ("c",), {"c": ONE})
-    assert [n.id for n in cfg.cluster_at("p").nodes] == ["p.n0", "p.n1", "p.n2"]
+    assert cfg.cluster_at("p") is cfg.points[0].germ
     once = transform_by_blowup(cfg, "p")
     transform_by_blowup(once, once.points[0].id)
     assert checked == ["n0", "n1", "n2"]

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from delpezzo_lct import InconsistentConfigError
+from delpezzo_lct import InconsistentConfigError, lct_global
 from delpezzo_lct.configio import (
     ConfigSchemaError,
     ConfigSyntaxError,
+    certificate_to_json_obj,
+    certificate_to_text,
     config_from_json_obj,
     config_to_json_obj,
     parse_config_text,
@@ -151,3 +153,11 @@ def test_explicit_cluster_round_trip():
     dumped = config_to_json_obj(cfg)
     again = parse_config_text(json.dumps(dumped))
     assert config_to_json_obj(again) == dumped
+
+
+def test_empty_configuration_certificate_is_infinite():
+    obj = {"surface": {"degree": 9, "basis": "blowup"}, "components": [], "points": []}
+    cert = lct_global(config_from_json_obj(obj))
+    rendered = certificate_to_json_obj(cert)
+    assert (rendered["lct"], rendered["minimizer"], rendered["rows"]) == ("inf", None, [])
+    assert certificate_to_text(cert) == "lct = inf\nminimizer = none"

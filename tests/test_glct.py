@@ -15,6 +15,7 @@ from delpezzo_lct import (
     DivisorConfiguration,
     find_model_isometry,
     lct_global,
+    make_surface,
     non_klt_locus,
     verify_complementary_sections,
     verify_corollary,
@@ -218,6 +219,13 @@ def test_bound_chain_fails_when_h_cap_is_wrong(monkeypatch):
     assert by_id["bound_chain.interval"].passed
     assert not by_id["bound_chain.contradiction"].passed
     assert not by_id["bound_chain.sharp_at_omega"].passed
+
+
+def test_deg4_line_names_refuse_a_non_line():
+    s = make_surface(4)
+    assert glct._deg4_line_name(class_C0(s)) == ("C0",)
+    with pytest.raises(ValueError, match=r"^not a degree-4 line class: \(1, 0, 0, 0, 0, 0\)$"):
+        glct._deg4_line_name(glct.class_H(s))
 
 
 def test_lemma_G_invalid_case():

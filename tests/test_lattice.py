@@ -146,6 +146,13 @@ def test_arithmetic_genus_examples():
     assert arithmetic_genus(4 * h) == 3
 
 
+def test_a_class_scales_by_integers_only():
+    h = class_H(make_surface(9))
+    assert (2 * h).coeffs == (2,)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * h
+
+
 def test_enumerate_deg4_lines_composition():
     s = make_surface(4)
     lines = enumerate_classes(s, 1, -1)
