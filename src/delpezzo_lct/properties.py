@@ -82,17 +82,37 @@ def _random_cluster(
     path_comps: Sequence[str] = (),
     max_nodes: int = 5,
     root_only_comps: Sequence[str] = (),
+    root_budget: float = float("inf"),
 ) -> WeightedCluster:
+    """A random cluster on a random proximity tree.
+
+    Heavy components meet the proximity inequalities with a random excess
+    of 0, 1 or 2 at each node; path components are smooth along a free
+    chain from the root; root-only components pass through the root alone.
+    The heavy components' root multiplicities sum to at most
+    ``root_budget``: each excess is drawn among the values that keep it
+    there, so no draw has to be thrown away.
+    """
     tree = _random_tree(rng, max_nodes)
     n = len(tree)
+    # reach[i]: what one unit of excess at node i adds to the root multiplicity.
+    reach = [1] * n
+    for i in range(1, n):
+        reach[i] = sum(reach[a] for a in tree[i][1])
+    spent = 0  # root multiplicity drawn so far, over all heavy components
     mults: dict[str, list[int]] = {}
-    for comp in heavy_comps:
+    for k, comp in enumerate(heavy_comps):
         vals = [0] * n
         for i in range(n - 1, -1, -1):
             need = sum(vals[j] for j in range(i + 1, n) if i in tree[j][1])
-            vals[i] = need + rng.choice((0, 0, 1, 1, 2))
+            # Leave every later component room for a root multiplicity of 1.
+            room = root_budget - spent - (len(heavy_comps) - k - 1)
+            excess = rng.choice([e for e in (0, 0, 1, 1, 2) if reach[i] * e <= room])
+            spent += reach[i] * excess
+            vals[i] = need + excess
         if vals[0] == 0:
             vals[0] = 1
+            spent += 1
         mults[comp] = vals
     paths = _free_paths(tree)
     for comp in path_comps:
@@ -146,6 +166,35 @@ def _random_coeff(rng: random.Random, max_num: int = 9, max_den: int = 6) -> Fra
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
 
 
+def _random_coeff_at_most(rng: random.Random, bound: Fraction) -> Fraction:
+    """`_random_coeff` given that it is at most ``bound`` (``bound >= 1/6``):
+    uniform over the pairs (a, b), 1 <= a <= 9 and 1 <= b <= 6, with
+    a/b <= bound."""
+    num, den = bound.numerator, bound.denominator
+    a, b = rng.choice(
+        [(a, b) for a in range(1, 10) for b in range(1, 7) if a * den <= num * b]
+    )
+    return Fraction(a, b)
+
+
+def _omega_weights(rng: random.Random, root_mults: Sequence[int]) -> list[Fraction]:
+    """Weights w_c <= 1 from `_random_coeff`'s range, one per root
+    multiplicity m_c (sum m_c <= 6), under the root budget sum w_c m_c <= 1.
+
+    Each weight leaves every later component room for the least weight 1/6,
+    so every weight tuple within the budget can be drawn and none is
+    refused.
+    """
+    left = Fraction(1)
+    weights = []
+    for i, m in enumerate(root_mults):
+        room = left - Fraction(sum(root_mults[i + 1:]), 6)
+        w = _random_coeff_at_most(rng, min(room / m, Fraction(1)))
+        weights.append(w)
+        left -= w * m
+    return weights
+
+
 def _weighted_local_pairing(
     cluster: WeightedCluster, comp: str, omega: dict[str, Fraction]
 ) -> Fraction:
@@ -165,18 +214,17 @@ def _suite(law: Callable[[random.Random], _Outcome]) -> Callable[[int, int], Che
 
     The runner draws instances from the suite's seeded generator, at most
     ``cases * _TRIAL_FACTOR`` times, until ``cases`` of them meet the
-    hypothesis.  Every failure is counted; the first five failing details
-    go into the note.
+    hypothesis.  The report states the instances asserted, the failures
+    and the draws made; the first five failing details go into the note.
     """
     name = law.__name__.removeprefix("run_")
 
     def run(seed: int, cases: int) -> CheckResult:
         rng = _rng(seed, name)
-        asserted = failures = 0
+        draws = asserted = failures = 0
         details: list[str] = []
-        for _ in range(cases * _TRIAL_FACTOR):
-            if asserted >= cases:
-                break
+        while draws < cases * _TRIAL_FACTOR and asserted < cases:
+            draws += 1
             outcome = law(rng)
             if outcome is None:
                 continue
@@ -188,7 +236,7 @@ def _suite(law: Callable[[random.Random], _Outcome]) -> Callable[[int, int], Che
                     details.append(detail)
         ok = not failures and asserted >= cases
         expected = f">={cases} instances, 0 failures"
-        computed = f"{asserted} instances, {failures} failures"
+        computed = f"{asserted} instances, {failures} failures, {draws} draws"
         return CheckResult(f"properties.{name}", expected, computed, ok, "; ".join(details))
 
     run.__name__ = run.__qualname__ = law.__name__
@@ -214,20 +262,20 @@ def run_skoda(rng: random.Random) -> _Outcome:
 @_suite
 def run_adjunction(rng: random.Random) -> _Outcome:
     """For D = mC + Omega not lc at p with lam*m <= 1 and C smooth at p, the
-    local pairing of C with lam*Omega at p exceeds 1."""
+    local pairing of C with lam*Omega at p exceeds 1.
+
+    m is drawn given lam*m <= 1, so only a log canonical draw is rejected.
+    """
+    lam = Fraction(rng.randint(1, 6), rng.randint(2, 6))
     nomega = rng.randint(1, 2)
     cluster = _random_cluster(
         rng, [f"w{i}" for i in range(nomega)], path_comps=("C",)
     )
-    coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
-    lam = Fraction(rng.randint(1, 6), rng.randint(2, 6))
-    if lam * coeffs["C"] > 1:
-        return None
-    cfg = _config_from_cluster(cluster, coeffs)
+    omega = {c: _random_coeff(rng) for c in cluster.component_ids if c != "C"}
+    cfg = _config_from_cluster(cluster, {**omega, "C": _random_coeff_at_most(rng, 1 / lam)})
     lc, _ = clusters.is_log_canonical(cfg, lam, "p")
     if lc:
         return None
-    omega = {c: coeffs[c] for c in cluster.component_ids if c != "C"}
     pairing = lam * _weighted_local_pairing(cluster, "C", omega)
     return pairing > 1, f"lam={lam} pairing={pairing}"
 
@@ -240,28 +288,21 @@ def run_theorem_disjunction(rng: random.Random) -> _Outcome:
 
     The curves meet once by construction: C1 is smooth along a free path
     from the root and C2 passes through the root only, so Noether's formula
-    gives (C1.C2)_p = 1 * 1 at the root and nothing above it.
+    gives (C1.C2)_p = 1 * 1 at the root and nothing above it.  The Omega
+    weights are drawn within their hypothesis (each at most 1, under the
+    root budget mult_p(Omega) <= 1), so only a log canonical draw is
+    rejected.
     """
-    nomega = rng.randint(1, 2)
+    omega_ids = [f"w{i}" for i in range(rng.randint(1, 2))]
+    # Every weight is at least 1/6, so the budget admits root multiplicities
+    # summing to at most 6.
     cluster = _random_cluster(
-        rng,
-        [f"w{i}" for i in range(nomega)],
-        path_comps=("C1",),
-        root_only_comps=("C2",),
+        rng, omega_ids, path_comps=("C1",), root_only_comps=("C2",), root_budget=6
     )
-    coeffs = {c: _random_coeff(rng) for c in cluster.component_ids}
+    omega = dict(zip(omega_ids, _omega_weights(rng, [cluster.root.mult(c) for c in omega_ids])))
     a1 = Fraction(rng.randint(1, 8), 8)
     a2 = Fraction(rng.randint(1, 8), 8)
-    coeffs["C1"], coeffs["C2"] = a1, a2
-    omega = {c: coeffs[c] for c in cluster.component_ids if c not in ("C1", "C2")}
-    if any(v > 1 for v in coeffs.values()):
-        return None
-    mult_omega = sum(
-        (w * cluster.root.mult(c) for c, w in omega.items()), Fraction(0)
-    )
-    if not 0 < mult_omega <= 1:
-        return None
-    cfg = _config_from_cluster(cluster, coeffs)
+    cfg = _config_from_cluster(cluster, {**omega, "C1": a1, "C2": a2})
     lc, _ = clusters.is_log_canonical(cfg, 1, "p")
     if lc:
         return None

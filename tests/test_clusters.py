@@ -174,6 +174,14 @@ class TestClusterValidation:
         with pytest.raises(ClusterError):
             ClusterNode("n0", None, (), {"c": -1})
 
+    def test_explicit_zero_multiplicity_is_accepted(self):
+        nodes = (
+            ClusterNode("n0", None, (), {"c": 1, "d": 1}),
+            ClusterNode("n1", "n0", ("n0",), {"c": 1, "d": 0}),
+        )
+        cluster = WeightedCluster(nodes, ("c", "d"))
+        assert cluster.nodes[1].mult("d") == 0
+
     @pytest.mark.parametrize("m", [True, False, 1.0])
     def test_non_int_multiplicity_rejected(self, m):
         with pytest.raises(ClusterError, match="must be a nonnegative integer"):
@@ -191,7 +199,15 @@ class TestClusterValidation:
                 "exactly one root is allowed and it must come first",
             ),
             (
+                [("n0", None, (), 1), ("n1", None, (), 1)],
+                "exactly one root is allowed and it must come first",
+            ),
+            (
                 [("n0", None, (), 2), ("n1", "n2", ("n2",), 1), ("n2", "n0", ("n0",), 1)],
+                "parent of 'n1' must be listed before it",
+            ),
+            (
+                [("n0", None, (), 2), ("n1", "n1", ("n1",), 1)],
                 "parent of 'n1' must be listed before it",
             ),
             (
@@ -245,9 +261,9 @@ class TestClusterValidation:
             ),
         ],
         ids=[
-            "duplicate", "root_first", "parent_after", "parent_proximity", "non_ancestor",
-            "unknown_target", "satellite", "corner", "inequality", "empty", "proximate_root",
-            "three_proximities",
+            "duplicate", "root_first", "second_root", "parent_after", "own_parent",
+            "parent_proximity", "non_ancestor", "unknown_target", "satellite", "corner",
+            "inequality", "empty", "proximate_root", "three_proximities",
         ],
     )
     def test_error_messages(self, rows, message):
@@ -749,7 +765,9 @@ def test_certificate_rows_match_divisor_valuation_reference():
 
 
 def test_derived_clusters_pass_the_checking_constructor():
-    """Renamed and blow-up-sliced clusters skip validation; each is still valid."""
+    """Germ templates scaled by their branch counts and blow-up slices skip
+    validation; each is still valid.  An explicit point's cluster is the
+    user's own, already checked object, and is checked again here too."""
     rng = random.Random("derived-clusters")
     checked = signed = 0
     for _ in range(300):

@@ -1,8 +1,13 @@
 """Smoke tests for the seeded property suites (full scale runs in acceptance)."""
 
+import random
+import re
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
-from delpezzo_lct import properties, run_property_suites
+from delpezzo_lct import clusters, properties, run_property_suites
 from delpezzo_lct.properties import (
     run_adjunction,
     run_blowup_transfer,
@@ -51,15 +56,15 @@ def test_targeted_runners():
     assert run_theorem_disjunction(11, 50).passed
 
 
-# Each suite's generator read once more after a full run.  All-pass reports
-# print the same text for every seed, so these values are what pins the
-# draws: a sampler that changes any RNG call, filter order or stopping rule
-# changes them.
+# Each suite's generator read once more after a full run.  An all-pass
+# report states how many draws a suite made but not what they were, so
+# these values are what pins the draws: a sampler that changes any RNG
+# call, filter order or stopping rule changes them.
 PINNED_DRAWS = {
     (0, 60): {
         "skoda": 4132245239459691911,
-        "adjunction": 9723242111005460277,
-        "theorem_disjunction": 16454864245361609400,
+        "adjunction": 1460994500222479473,
+        "theorem_disjunction": 16642094430239329792,
         "convexity": 2881992764960873013,
         "blowup_transfer": 17959394765621617696,
         "monotonicity": 10250753567629214435,
@@ -68,8 +73,8 @@ PINNED_DRAWS = {
     },
     (5, 150): {
         "skoda": 8797996310367619134,
-        "adjunction": 27391313041682314,
-        "theorem_disjunction": 9040605985929772066,
+        "adjunction": 3257816884766529884,
+        "theorem_disjunction": 11312977889487700535,
         "convexity": 16691758453775508465,
         "blowup_transfer": 14161464010124981969,
         "monotonicity": 11078221239480482095,
@@ -89,9 +94,16 @@ def test_suite_draws_are_pinned(monkeypatch, seed, cases):
         return generators[name]
 
     monkeypatch.setattr(properties, "_rng", capture)
-    assert run_property_suites(seed=seed, cases=cases).passed
+    rep = run_property_suites(seed=seed, cases=cases)
+    assert rep.passed
     drawn = {name: rng.getrandbits(64) for name, rng in generators.items()}
     assert drawn == PINNED_DRAWS[seed, cases]
+    # Every suite draws inside its hypothesis: at most 3 draws per instance.
+    for result in rep.results:
+        m = re.fullmatch(r"(\d+) instances, 0 failures, (\d+) draws", result.computed)
+        assert m, result
+        asserted, draws = map(int, m.groups())
+        assert asserted == cases and draws <= 3 * asserted, result
 
 
 def test_every_failure_is_counted(monkeypatch):
@@ -104,6 +116,71 @@ def test_every_failure_is_counted(monkeypatch):
 
     result = run_never(0, 40)
     assert not result.passed
-    assert result.computed == "40 instances, 40 failures"
+    assert result.computed == "40 instances, 40 failures, 40 draws"
     assert len(result.note.split("; ")) == 5
     assert properties._RUNNERS == [run_never]
+
+
+# The Omega weights the old rejection filters admitted: _random_coeff's
+# values a/b that are at most 1.
+WEIGHTS = {Fraction(a, b) for a in range(1, 10) for b in range(1, 7) if a <= b}
+
+
+@pytest.mark.parametrize(
+    "root_mults", [(1,), (2,), (5,), (6,), (1, 1), (1, 5), (5, 1), (2, 3), (3, 3)]
+)
+def test_omega_weights_are_exactly_the_tuples_within_the_budget(root_mults):
+    fits = {
+        ws for ws in product(sorted(WEIGHTS), repeat=len(root_mults))
+        if sum(w * m for w, m in zip(ws, root_mults)) <= 1
+    }
+    rng = random.Random(f"weights:{root_mults}")
+    drawn = {tuple(properties._omega_weights(rng, root_mults)) for _ in range(6000)}
+    assert drawn == fits
+
+
+def test_root_budget_caps_the_heavy_root_multiplicities():
+    rng = random.Random("budget")
+    sums = set()
+    for _ in range(2000):
+        cluster = properties._random_cluster(rng, ["w0", "w1"], root_budget=6)
+        root = [cluster.root.mult(c) for c in ("w0", "w1")]
+        assert min(root) >= 1
+        sums.add(sum(root))
+    assert sums == {2, 3, 4, 5, 6}
+
+
+def _lc_queries(monkeypatch, runner, seed, cases):
+    """Every (configuration, lam) the runner asks about, and its report."""
+    queries = []
+    real = clusters.is_log_canonical
+
+    def spy(cfg, lam, point_id=None):
+        queries.append((cfg, lam))
+        return real(cfg, lam, point_id)
+
+    monkeypatch.setattr(clusters, "is_log_canonical", spy)
+    return queries, runner(seed, cases)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_theorem_disjunction_draws_inside_its_hypothesis(monkeypatch, seed):
+    queries, result = _lc_queries(monkeypatch, run_theorem_disjunction, seed, 60)
+    # Every draw reaches the log canonicity test: no other filter rejects.
+    assert result.computed.endswith(f", {len(queries)} draws")
+    for cfg, lam in queries:
+        assert lam == 1
+        assert all(c.coeff <= 1 for c in cfg.components)
+        root = cfg.cluster_at("p").root
+        mult_omega = sum(
+            c.coeff * root.mult(c.id) for c in cfg.components if c.id not in ("C1", "C2")
+        )
+        assert 0 < mult_omega <= 1
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_adjunction_draws_inside_its_hypothesis(monkeypatch, seed):
+    queries, result = _lc_queries(monkeypatch, run_adjunction, seed, 60)
+    assert result.computed.endswith(f", {len(queries)} draws")
+    for cfg, lam in queries:
+        assert lam * cfg.component("C").coeff <= 1
