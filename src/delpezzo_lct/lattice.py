@@ -115,16 +115,20 @@ class DivisorClass:
             )
 
     @classmethod
-    def _derived(cls, surface: SurfaceModel, coeffs: tuple[int, ...]) -> "DivisorClass":
-        """A class whose ``coeffs`` are already an ``int`` tuple of length ``surface.rank``.
+    def _derived_many(
+        cls, surface: SurfaceModel, vectors: list[tuple[int, ...]]
+    ) -> list["DivisorClass"]:
+        """The class of each vector, each already an ``int`` tuple of length ``surface.rank``.
 
         The enumerators produce such tuples by construction, so the checks of
-        the public constructor are not run again for each emitted class.
+        the public constructor are not run again.  The classes are allocated
+        and their two slots filled through the slot descriptors, in loops that
+        make no Python function call per class.
         """
-        c = object.__new__(cls)
-        object.__setattr__(c, "surface", surface)
-        object.__setattr__(c, "coeffs", coeffs)
-        return c
+        classes = list(map(object.__new__, itertools.repeat(cls, len(vectors))))
+        deque(map(cls.surface.__set__, classes, itertools.repeat(surface)), maxlen=0)
+        deque(map(cls.coeffs.__set__, classes, vectors), maxlen=0)
+        return classes
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
         if self.surface != other.surface:
@@ -165,7 +169,7 @@ class DivisorClass:
         return DivisorClass(self.surface, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, scalar: int) -> "DivisorClass":
-        if not isinstance(scalar, int):
+        if type(scalar) is bool or not isinstance(scalar, int):
             return NotImplemented
         return DivisorClass(self.surface, tuple(scalar * a for a in self.coeffs))
 
@@ -205,8 +209,11 @@ def _vectors_with_sum_and_square(
     [ceil((s - isqrt(D))/left), floor((s + isqrt(D))/left)].  The last two
     coordinates are solved directly, in the loop over the third-last one:
     c1 + c2 = s and (c1 - c2)^2 = 2q - s^2, which is >= 0 for every c of
-    that loop.  Each level's c ascends and a pair emits (small, big) before
-    (big, small), so the output is duplicate-free and sorted
+    that loop.  The last four coordinates depend on the prefix only through
+    its (sum, square) remainder, so each remainder's tails are searched
+    once, kept in a dict local to the call, and appended to every prefix
+    that leaves it.  Each level's c ascends and a pair emits (small, big)
+    before (big, small), so the output is duplicate-free and sorted
     lexicographically without a sorting pass.
     """
     if r == 0:
@@ -221,29 +228,38 @@ def _vectors_with_sum_and_square(
         small, big = (total - t) // 2, (total + t) // 2  # t and total have one parity
         return [head + (small, big), head + (big, small)] if t else [head + (small, big)]
     out: list[tuple[int, ...]] = []
-    append = out.append
+    tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-    def rec(prefix: tuple[int, ...], left: int, s: int, q: int) -> None:
+    def rec(prefix: tuple[int, ...], left: int, s: int, q: int, append) -> None:
         disc = (left - 1) * (left * q - s * s)
         if disc < 0:
             return
         t = isqrt(disc)
         cs = range(-((t - s) // left), (s + t) // left + 1)
-        if left > 3:
+        if left == 3:
             for c in cs:
-                rec(prefix + (c,), left - 1, s - c, q - c * c)
-            return
-        for c in cs:
-            s2 = s - c
-            e = 2 * (q - c * c) - s2 * s2
-            u = isqrt(e)
-            if u * u == e:
-                small, big = (s2 - u) // 2, (s2 + u) // 2
-                append(prefix + (c, small, big))
-                if u:
-                    append(prefix + (c, big, small))
+                s2 = s - c
+                e = 2 * (q - c * c) - s2 * s2
+                u = isqrt(e)
+                if u * u == e:
+                    small, big = (s2 - u) // 2, (s2 + u) // 2
+                    append(prefix + (c, small, big))
+                    if u:
+                        append(prefix + (c, big, small))
+        elif left == 5:  # reached only by the search for ``out``, never for a tail
+            for c in cs:
+                key = (s - c, q - c * c)
+                ends = tails.get(key)
+                if ends is None:
+                    ends = tails[key] = []
+                    rec((), 4, *key, ends.append)
+                p = prefix + (c,)
+                out.extend([p + end for end in ends])
+        else:
+            for c in cs:
+                rec(prefix + (c,), left - 1, s - c, q - c * c, append)
 
-    rec(head, r, total, square)
+    rec(head, r, total, square, out.append)
     return out
 
 
@@ -268,12 +284,10 @@ def _blowup_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[Divi
     if disc < 0:
         return []
     sq = isqrt(disc)
-    new = DivisorClass._derived
-    return [
-        new(surface, coeffs)
-        for a in range(-((sq - 6 * deg) // (2 * d)), (6 * deg + sq) // (2 * d) + 1)
-        for coeffs in _vectors_with_sum_and_square(r, deg - 3 * a, a * a - self_int, (a,))
-    ]
+    vectors: list[tuple[int, ...]] = []
+    for a in range(-((sq - 6 * deg) // (2 * d)), (6 * deg + sq) // (2 * d) + 1):
+        vectors += _vectors_with_sum_and_square(r, deg - 3 * a, a * a - self_int, (a,))
+    return DivisorClass._derived_many(surface, vectors)
 
 
 def _quadric_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[DivisorClass]:
@@ -289,7 +303,7 @@ def _quadric_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[Div
         return []
     c1 = (s + t) // 2
     sols = {(c1, s - c1), (s - c1, c1)}
-    return [DivisorClass._derived(surface, pair) for pair in sorted(sols)]
+    return DivisorClass._derived_many(surface, sorted(sols))
 
 
 def enumerate_classes(surface: SurfaceModel, deg: int, self_int: int) -> list[DivisorClass]:
@@ -321,7 +335,6 @@ def line_intersection_matrix(surface: SurfaceModel) -> tuple[tuple[int, ...], ..
 
 
 def _matmul(a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a

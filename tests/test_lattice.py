@@ -151,6 +151,8 @@ def test_a_class_scales_by_integers_only():
     assert (2 * h).coeffs == (2,)
     with pytest.raises(TypeError):
         Fraction(1, 2) * h
+    with pytest.raises(TypeError):
+        True * h
 
 
 def test_enumerate_deg4_lines_composition():
@@ -278,24 +280,24 @@ def test_enumerate_large_rows_are_pinned(degree, deg, self_int, count, digest):
     assert hashlib.sha256(coeffs).hexdigest() == digest
 
 
-@pytest.mark.parametrize("r", range(5))
+@pytest.mark.parametrize("r", range(9))
 def test_vectors_with_sum_and_square_match_brute_force(r):
-    for square in range(-1, 13):
-        bound = isqrt(max(square, 0))
-        grid = list(itertools.product(range(-bound, bound + 1), repeat=r))
+    # From r = 5 on the search shares the tails of the last four coordinates;
+    # squares up to 6 keep those grids at 5^r points.
+    max_square = 12 if r < 5 else 6
+    bound = isqrt(max_square)
+    expected = {}
+    for v in itertools.product(range(-bound, bound + 1), repeat=r):
+        expected.setdefault((sum(v), sum(x * x for x in v)), []).append(v)
+    for square in range(-1, max_square + 1):
         for total in range(-6, 7):
-            expected = [
-                v for v in grid if sum(v) == total and sum(x * x for x in v) == square
-            ]
-            assert _vectors_with_sum_and_square(r, total, square) == expected, (
-                r,
-                total,
-                square,
-            )
+            assert _vectors_with_sum_and_square(r, total, square) == expected.get(
+                (total, square), []
+            ), (r, total, square)
 
 
 @pytest.mark.parametrize("head", [(7,), (0, -2)])
-@pytest.mark.parametrize("r", range(6))
+@pytest.mark.parametrize("r", range(9))
 def test_vectors_with_sum_and_square_prepend_head(r, head):
     for square in range(-1, 13):
         for total in range(-6, 7):
