@@ -126,6 +126,9 @@ class ClusterNode:
     def __post_init__(self) -> None:
         object.__setattr__(self, "proximate_to", tuple(self.proximate_to))
         object.__setattr__(self, "mults", dict(self.mults))
+        for a in self.proximate_to:
+            if not isinstance(a, str):
+                raise ClusterError(f"proximity of {self.id!r} must be a node id, got {a!r}")
         for comp, m in self.mults.items():
             if type(m) is not int or m < 0:
                 raise ClusterError(f"multiplicity of {comp!r} at {self.id!r} must be a nonnegative integer")
@@ -190,10 +193,15 @@ class WeightedCluster:
             known.add(comp)
         if self.nodes[0].parent is not None or any(n.parent is None for n in self.nodes[1:]):
             raise ClusterError("exactly one root is allowed and it must come first")
+        # Per node id: the multiplicities of the points proximate to it, summed
+        # by component as each of those points is checked.
+        used: dict[str, dict[str, int]] = {}
+        corners: set[tuple[str, str]] = set()
+        repeated_corner = None
         for i, node in enumerate(self.nodes):
-            for comp in node.mults:
-                if comp not in known:
-                    raise ClusterError(f"node {node.id!r} mentions unknown component {comp!r}")
+            if not known.issuperset(node.mults):
+                comp = next(c for c in node.mults if c not in known)
+                raise ClusterError(f"node {node.id!r} mentions unknown component {comp!r}")
             if node.parent is None:
                 if node.proximate_to:
                     raise ClusterError("the root is proximate to nothing")
@@ -214,27 +222,32 @@ class WeightedCluster:
                     if a not in self._ancestors(node.id):
                         raise ClusterError(f"{node.id!r} proximate to non-ancestor {a!r}")
                     raise ClusterError(f"satellite {node.id!r}: its parent is not proximate to {a!r}")
-        # A satellite direction E_parent /\ E_a is a single point.
-        seen_pairs = set()
+            # A satellite direction E_parent /\ E_a is a single point.  The
+            # first repeat is named once every node has passed the checks above.
+            if len(prox) == 2 and repeated_corner is None:
+                corner = (node.parent, prox[1] if prox[0] == node.parent else prox[0])
+                if corner in corners:
+                    repeated_corner = corner
+                corners.add(corner)
+            for a in prox:
+                if a in used:
+                    total = used[a]
+                    for comp, m in node.mults.items():
+                        total[comp] = total.get(comp, 0) + m
+                else:
+                    used[a] = dict(node.mults)
+        if repeated_corner is not None:
+            raise ClusterError(f"two satellites over the same corner {repeated_corner}")
+        # Proximity inequality, per component; the first failing component in
+        # `component_ids` order is named.
         for node in self.nodes:
-            extra = [a for a in node.proximate_to if a != node.parent]
-            if extra:
-                pair = (node.parent, extra[0])
-                if pair in seen_pairs:
-                    raise ClusterError(f"two satellites over the same corner {pair}")
-                seen_pairs.add(pair)
-        # Proximity inequality, per component.
-        prox_children: dict[str, list[ClusterNode]] = {nid: [] for nid in index}
-        for node in self.nodes:
-            for a in node.proximate_to:
-                prox_children[a].append(node)
-        for node in self.nodes:
-            for comp in self.component_ids:
-                total = sum(ch.mult(comp) for ch in prox_children[node.id])
-                if node.mult(comp) < total:
+            total = used.get(node.id, {})
+            for comp, m in total.items():
+                if node.mults.get(comp, 0) < m:
+                    first = next(c for c in self.component_ids if node.mult(c) < total.get(c, 0))
                     raise ClusterError(
-                        f"proximity inequality fails for {comp!r} at {node.id!r}: "
-                        f"{node.mult(comp)} < {total}"
+                        f"proximity inequality fails for {first!r} at {node.id!r}: "
+                        f"{node.mult(first)} < {total[first]}"
                     )
 
     def _ancestors(self, node_id: str) -> list[str]:
@@ -265,6 +278,16 @@ class WeightedCluster:
         return tuple(n for n in self.nodes if n.parent == node_id)
 
     @cached_property
+    def _noether_pairs(self) -> tuple[tuple[str, str, int], ...]:
+        """(i, j, local intersection) for each pair of components, in
+        ``component_ids`` order: once per cluster, however many
+        configurations (scaled, re-weighted) hold it."""
+        return tuple(
+            (i, j, self.local_intersection_pair(i, j))
+            for i, j in itertools.combinations(self.component_ids, 2)
+        )
+
+    @cached_property
     def _forms(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
         """Per node, in node order: (id, k, v of each component in
         ``component_ids`` order), by the two proximity recursions.
@@ -273,13 +296,15 @@ class WeightedCluster:
         columns; certificates evaluate it once per coefficient vector.
         """
         forms: dict[str, tuple[str, int, tuple[int, ...]]] = {}
+        comp_ids = self.component_ids
+        zeros = (0,) * len(comp_ids)
         for node in self.nodes:
-            prox = [forms[a] for a in node.proximate_to]
-            k = 1 + sum(f[1] for f in prox)
-            v = tuple(
-                node.mult(c) + sum(f[2][j] for f in prox)
-                for j, c in enumerate(self.component_ids)
-            )
+            k = 1
+            v = tuple(map(node.mults.get, comp_ids, zeros))
+            for a in node.proximate_to:
+                _, ka, va = forms[a]
+                k += ka
+                v = tuple(map(operator.add, v, va))
             forms[node.id] = (node.id, k, v)
         return tuple(forms.values())
 
@@ -303,7 +328,7 @@ class WeightedCluster:
 
     def local_intersection_pair(self, comp_i: str, comp_j: str) -> int:
         """Noether's formula: sum over nodes of mult_i * mult_j."""
-        return sum(n.mult(comp_i) * n.mult(comp_j) for n in self.nodes)
+        return sum(n.mults.get(comp_i, 0) * n.mults.get(comp_j, 0) for n in self.nodes)
 
     def root_slack(self, component: str) -> int:
         """Root multiplicity minus the proximate multiplicities.
@@ -322,20 +347,26 @@ class WeightedCluster:
 def canonical_form(cluster: WeightedCluster):
     """An id- and sibling-order-independent encoding of a cluster.
 
-    Extra proximities are encoded as ancestor distances (1 = parent), so two
-    clusters describing the same configuration compare equal.
+    A node's form is (nonzero mults sorted, extra proximities as ancestor
+    distances (1 = parent) sorted, its children's forms sorted), so two
+    clusters describing the same configuration compare equal.  Built
+    bottom-up in one pass: children come after their parent in ``nodes``.
     """
-
-    def form(node: ClusterNode):
-        chain = cluster._ancestors(node.id)
+    depth: dict[str, int] = {}
+    kids: dict[str, list] = {}
+    for node in cluster.nodes:
+        depth[node.id] = 0 if node.parent is None else depth[node.parent] + 1
+        kids[node.id] = []
+    form = None
+    for node in reversed(cluster.nodes):
         extra = tuple(
-            sorted(chain.index(a) + 1 for a in node.proximate_to if a != node.parent)
+            sorted(depth[node.id] - depth[a] for a in node.proximate_to if a != node.parent)
         )
         mults = tuple(sorted((c, m) for c, m in node.mults.items() if m))
-        kids = tuple(sorted(form(ch) for ch in cluster.children(node.id)))
-        return (mults, extra, kids)
-
-    return form(cluster.root)
+        form = (mults, extra, tuple(sorted(kids.pop(node.id))))
+        if node.parent is not None:
+            kids[node.parent].append(form)
+    return form
 
 
 def _exact(value, what: str) -> Fraction:
@@ -512,10 +543,10 @@ class DivisorConfiguration:
 
     def _check_consistency(self) -> None:
         totals: dict[tuple[str, str], int] = {}
-        for pid, cluster in self._clusters.items():
-            for i, j in itertools.combinations(cluster.component_ids, 2):
+        for cluster in self._clusters.values():
+            for i, j, local in cluster._noether_pairs:
                 key = (i, j) if i < j else (j, i)
-                totals[key] = totals.get(key, 0) + cluster.local_intersection_pair(i, j)
+                totals[key] = totals.get(key, 0) + local
         for (i, j), local in totals.items():
             lattice = self.component(i).cls.dot(self.component(j).cls)
             if local > lattice:
@@ -540,7 +571,13 @@ class ComponentBound:
     bound: Optional[Fraction]  # 1/coeff when coeff > 0
 
 
-@dataclass(frozen=True)
+# Per point in a certificate's scope: the point id, its compiled cluster,
+# the common denominator L of the coefficients there, and each coefficient
+# times L (an integer), in the cluster's ``component_ids`` order.
+_PointForms = tuple[str, WeightedCluster, int, tuple[int, ...]]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class LctCertificate:
     """The threshold with the full constraint list proving it.
 
@@ -549,12 +586,37 @@ class LctCertificate:
     ("component", id) or ("node", id); ties resolve to the earliest
     constraint in canonical order (component bounds first, then cluster
     rows in listed order).
+
+    ``rows`` are built from the integer forms of each point on first read
+    and then kept; a caller that reads only ``lct`` never builds them.
+    Equality, hashing and repr take the rows into account.
     """
 
     lct: Optional[Fraction]
     minimizer: Optional[tuple[str, str]]
-    rows: tuple[CertificateRow, ...]
     component_bounds: tuple[ComponentBound, ...]
+    _points: tuple[_PointForms, ...]
+
+    @cached_property
+    def rows(self) -> tuple[CertificateRow, ...]:
+        return tuple(row for point in self._points for row in _point_rows(*point))
+
+    def _key(self) -> tuple:
+        return (self.lct, self.minimizer, self.rows, self.component_bounds)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(lct={self.lct!r}, minimizer={self.minimizer!r}, "
+            f"rows={self.rows!r}, component_bounds={self.component_bounds!r})"
+        )
 
 
 def compile_configuration(cfg: DivisorConfiguration, point_id: str) -> WeightedCluster:
@@ -593,18 +655,22 @@ def _incident_components(cfg: DivisorConfiguration, point_id: str) -> list[str]:
     return [c.id for c in cfg.components if root.mult(c.id)]
 
 
-def _point_rows(cfg: DivisorConfiguration, point_id: str) -> list[CertificateRow]:
-    """The cluster rows at one point, each v_q(D) an integer linear form,
-    each node named ``"<point id>.<node id>"``.
-
-    Over the common denominator L of the coefficients d_i at the point,
-    v_q(D) = (sum_i (d_i * L) * v_q(C_i)) / L with integer terms, so a row
-    costs one Fraction for v and one for its ratio (k+1)/v = (k+1)*L / (v*L).
-    """
+def _point_forms(cfg: DivisorConfiguration, point_id: str) -> _PointForms:
+    """The point's cluster with its coefficients over their common
+    denominator L: v_q(D) = (sum_i (d_i * L) * v_q(C_i)) / L, integer terms."""
     cluster = cfg.cluster_at(point_id)
     coeffs = [cfg.coefficients[c] for c in cluster.component_ids]
     den = math.lcm(*(d.denominator for d in coeffs))
-    nums = [d.numerator * (den // d.denominator) for d in coeffs]
+    nums = tuple(d.numerator * (den // d.denominator) for d in coeffs)
+    return point_id, cluster, den, nums
+
+
+def _point_rows(
+    point_id: str, cluster: WeightedCluster, den: int, nums: tuple[int, ...]
+) -> list[CertificateRow]:
+    """The cluster rows at one point, each node named ``"<point id>.<node id>"``:
+    one Fraction for v = (nums . v_q) / L and one for its ratio
+    (k+1)/v = (k+1)*L / (nums . v_q)."""
     rows = []
     for node_id, k, vals in cluster._forms:
         v = sum(map(operator.mul, nums, vals))
@@ -633,19 +699,30 @@ def _certificate(cfg: DivisorConfiguration, point_id: Optional[str]) -> LctCerti
         comp_ids = _incident_components(cfg, point_id)
         point_ids = [point_id]
 
+    # The minimum as an integer pair num/den, den > 0, compared by
+    # cross-multiplication; 1/0 stands for +infinity.  Candidates come in
+    # canonical order and only a strict `<` replaces the best, so the earliest
+    # of equal constraints is the minimizer.
+    best_num, best_den, minimizer = 1, 0, None
     bounds = []
     for cid in comp_ids:
         d = cfg.coefficients[cid]
         bounds.append(ComponentBound(cid, d, Fraction(1) / d if d > 0 else None))
-    rows = []
-    for pid in point_ids:
-        rows.extend(_point_rows(cfg, pid))
-
-    # Candidates in canonical order; `min` keeps the earliest of equal ones.
-    candidates = [(b.bound, ("component", b.component)) for b in bounds if b.bound is not None]
-    candidates += [(r.ratio, ("node", r.node)) for r in rows if r.ratio is not None]
-    best, minimizer = min(candidates, key=operator.itemgetter(0), default=(None, None))
-    return LctCertificate(best, minimizer, tuple(rows), tuple(bounds))
+        if d > 0 and d.denominator * best_den < best_num * d.numerator:
+            best_num, best_den, minimizer = d.denominator, d.numerator, ("component", cid)
+    points = tuple(_point_forms(cfg, pid) for pid in point_ids)
+    for pid, cluster, den, nums in points:
+        # The point's least (k+1)/(nums . v_q), rows with nums . v_q <= 0 never
+        # passing the test; the factor L is common to the point's rows.
+        k1, v, node = 1, 0, None
+        for node_id, k, vals in cluster._forms:
+            vq = sum(map(operator.mul, nums, vals))
+            if (k + 1) * v < k1 * vq:
+                k1, v, node = k + 1, vq, node_id
+        if k1 * den * best_den < best_num * v:
+            best_num, best_den, minimizer = k1 * den, v, ("node", f"{pid}.{node}")
+    lct = None if minimizer is None else Fraction(best_num, best_den)
+    return LctCertificate(lct, minimizer, tuple(bounds), points)
 
 
 def is_log_canonical(

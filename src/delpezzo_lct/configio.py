@@ -22,10 +22,11 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .clusters import (
     _FIXED_ARITY,
+    ClusterError,
     ClusterNode,
     Component,
     ConfigPoint,
@@ -86,26 +87,57 @@ def _expect(obj, typ, path: str):
     return obj
 
 
+def _node_fields(nd) -> Optional[tuple]:
+    """A node's (id, parent, proximities, mults) when the node and each field
+    have their JSON type, else None; the constructor checks the entries."""
+    if isinstance(nd, dict):
+        nid, parent = nd.get("id"), nd.get("parent")
+        prox, mults = nd.get("proximate_to", []), nd.get("mults", {})
+        if (
+            isinstance(nid, str)
+            and (parent is None or isinstance(parent, str))
+            and isinstance(prox, list)
+            and isinstance(mults, dict)
+        ):
+            return nid, parent, prox, mults
+    return None
+
+
+def _check_node(nd, npath: str) -> None:
+    """Each field and entry of a node checked in turn; the first fault is
+    named by its JSON path."""
+    _expect(nd, dict, npath)
+    _expect(nd.get("id"), str, f"{npath}.id")
+    parent = nd.get("parent")
+    if parent is not None:
+        _expect(parent, str, f"{npath}.parent")
+    prox = _expect(nd.get("proximate_to", []), list, f"{npath}.proximate_to")
+    for j, a in enumerate(prox):
+        _expect(a, str, f"{npath}.proximate_to[{j}]")
+    mults = _expect(nd.get("mults", {}), dict, f"{npath}.mults")
+    for comp, m in mults.items():
+        _expect(m, int, f"{npath}.mults.{comp}")
+
+
 def _parse_cluster(obj: dict, path: str) -> WeightedCluster:
     nodes_raw = _expect(obj.get("nodes"), list, f"{path}.nodes")
     nodes = []
-    comp_order: list[str] = []
+    # Components in order of first mention; only the keys are read.
+    comp_order: dict[str, int] = {}
     for i, nd in enumerate(nodes_raw):
-        npath = f"{path}.nodes[{i}]"
-        _expect(nd, dict, npath)
-        nid = _expect(nd.get("id"), str, f"{npath}.id")
-        parent = nd.get("parent")
-        if parent is not None:
-            _expect(parent, str, f"{npath}.parent")
-        prox = _expect(nd.get("proximate_to", []), list, f"{npath}.proximate_to")
-        mults_raw = _expect(nd.get("mults", {}), dict, f"{npath}.mults")
-        mults = {}
-        for comp, m in mults_raw.items():
-            _expect(m, int, f"{npath}.mults.{comp}")
-            mults[comp] = m
-            if comp not in comp_order:
-                comp_order.append(comp)
-        nodes.append(ClusterNode(nid, parent, tuple(prox), mults))
+        fields = _node_fields(nd)
+        if fields is not None:
+            try:
+                node = ClusterNode(*fields)
+            except ClusterError:
+                fields = None
+        if fields is None:
+            # JSON paths are formatted only here.  A fault that the JSON types
+            # allow, such as a negative multiplicity, is the constructor's own.
+            _check_node(nd, f"{path}.nodes[{i}]")
+            node = ClusterNode(*_node_fields(nd))
+        comp_order.update(node.mults)
+        nodes.append(node)
     return WeightedCluster(tuple(nodes), tuple(comp_order))
 
 

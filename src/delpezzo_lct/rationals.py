@@ -14,7 +14,7 @@ def format_rational(value: Fraction | int | None) -> str:
     """Render an exact rational; ``None`` stands for +infinity."""
     if value is None:
         return "inf"
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def parse_rational(text: str) -> Fraction:

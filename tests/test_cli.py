@@ -174,6 +174,16 @@ class TestLct:
         assert main(["lct", str(path)]) == 3
         assert "only meet in 0 points" in capsys.readouterr().err
 
+    def test_non_string_proximity_exits_2(self, tmp_path, capsys):
+        obj = json.loads(_chain_config(2, 2))
+        obj["points"][0]["germ"]["nodes"][1]["proximate_to"] = ["n0", {}]
+        path = tmp_path / "proximity.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["lct", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid config at $.points[0].germ.nodes[1].proximate_to[1]: expected str, got dict\n"
+        )
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["lct", "/nonexistent/file.json"]) == 2
 
@@ -463,3 +473,95 @@ class TestConfigRoundTrip:
         assert obj["lct"] == "5/6"
         assert obj["minimizer"] == {"kind": "node", "id": "p.n2"}
         assert [r["v"] for r in obj["rows"]] == ["2", "3", "6"]
+
+
+def _chain_config(length: int, prefix: int) -> str:
+    """A free chain of ``length`` points: A smooth through every point, B
+    through the first ``prefix``; both coefficients are non-integers."""
+    nodes = [
+        {"id": f"n{i}", "parent": None if i == 0 else f"n{i - 1}",
+         "proximate_to": [] if i == 0 else [f"n{i - 1}"],
+         "mults": {"A": 1, "B": 1} if i < prefix else {"A": 1}}
+        for i in range(length)
+    ]
+    return json.dumps({
+        "surface": {"degree": 9, "basis": "blowup"},
+        "components": [{"id": "A", "class": [40], "coeff": "5/7"},
+                       {"id": "B", "class": [41], "coeff": "3/11"}],
+        "points": [{"id": "p0", "germ": {"nodes": nodes}}],
+    })
+
+
+WITNESS_FILES = sorted((ROOT / "bench" / "data").glob("*.json"))
+
+
+def _lct_forms():
+    """(label, file text, flags): each witness plain, --json and scoped to
+    its first point, and a 1000-point chain in the same three forms."""
+    files = [(path.stem, path.read_text(encoding="utf-8")) for path in WITNESS_FILES]
+    files.append(("chain1000", _chain_config(1000, 600)))
+    forms = []
+    for label, text in files:
+        points = json.loads(text)["points"]
+        flag_sets = [[], ["--json"]] + ([["--point", points[0]["id"]]] if points else [])
+        forms += [
+            pytest.param(label, text, flags, id=f"{label}-{flags[0][2:] if flags else 'plain'}")
+            for flags in flag_sets
+        ]
+    return forms
+
+
+# sha256 of `lct <file> <flags>` stdout, frozen so that a rewrite of the
+# threshold engine or the renderers must print the same bytes.
+LCT_DIGESTS = {
+    ('deg1_cuspidal', ''): "96b8a129157694602a1af06e3ab10a6dd4f77f33dd3bd868b77998a848383f90",
+    ('deg1_cuspidal', '--json'): "cc99c611b22bf027af1659e98bc93fdee94f28133949be8e69436fdf410525c1",
+    ('deg1_cuspidal', '--point p'): "96b8a129157694602a1af06e3ab10a6dd4f77f33dd3bd868b77998a848383f90",
+    ('deg1_no_cusp', ''): "91ac4b98a21dd95f61a9787bdbbcfe2a0257a6abc4cc06a5e33344588382b549",
+    ('deg1_no_cusp', '--json'): "cbe0248df18c556ae933806113541cdaf9c7eda1cc84f12dd5d8edff489c6331",
+    ('deg1_no_cusp', '--point p'): "91ac4b98a21dd95f61a9787bdbbcfe2a0257a6abc4cc06a5e33344588382b549",
+    ('deg2_no_tacnodal', ''): "96b8a129157694602a1af06e3ab10a6dd4f77f33dd3bd868b77998a848383f90",
+    ('deg2_no_tacnodal', '--json'): "cc99c611b22bf027af1659e98bc93fdee94f28133949be8e69436fdf410525c1",
+    ('deg2_no_tacnodal', '--point p'): "96b8a129157694602a1af06e3ab10a6dd4f77f33dd3bd868b77998a848383f90",
+    ('deg2_tacnodal', ''): "1452f34dcb23bfcfaa76de0bc9dc6aa003760e395105b0d79794aa08ccbcc15c",
+    ('deg2_tacnodal', '--json'): "2b8f38759fe7f214db15a02bb6b92a9fdcab8512208786258e4917942ccebe6e",
+    ('deg2_tacnodal', '--point p'): "1452f34dcb23bfcfaa76de0bc9dc6aa003760e395105b0d79794aa08ccbcc15c",
+    ('deg3_eckardt', ''): "ca9ac441093060df04093a8afd3e648b6f4077cf8e6278f9d0e232ce1b044984",
+    ('deg3_eckardt', '--json'): "e8748358a111b12860a2624a48287f4c3c5574ab192bfb7b16774e16f28ff8e3",
+    ('deg3_eckardt', '--point p'): "ca9ac441093060df04093a8afd3e648b6f4077cf8e6278f9d0e232ce1b044984",
+    ('deg3_no_eckardt', ''): "eabd5e9d78a26b16eddf856b013248c9e89fc7d1928569e34e045f4f2432f7ab",
+    ('deg3_no_eckardt', '--json'): "bfca8506913dd879e7208589a8da00caff6140e806c0e6eda666a700deb33d3f",
+    ('deg3_no_eckardt', '--point p'): "eabd5e9d78a26b16eddf856b013248c9e89fc7d1928569e34e045f4f2432f7ab",
+    ('deg4', ''): "4cdcc06f890b3be3678ff9d815f498ea2b3a86749d117032a2bba5ae13785928",
+    ('deg4', '--json'): "af67373c362c71bbd31eff6b4d8a44a1c7ce43586516cba900bf1ad8128e6b72",
+    ('deg4', '--point p'): "4cdcc06f890b3be3678ff9d815f498ea2b3a86749d117032a2bba5ae13785928",
+    ('deg5', ''): "5ec8c4dfedf7cfe6a4ef587c297547ab76dc34cd11ddd2be4ec38e10ec9d1ae9",
+    ('deg5', '--json'): "d07f315e6dd05df7d9c8f119ed5df0ac8bdf322996983a5695aac72859d0bfb3",
+    ('deg5', '--point p1'): "727f9ba403bf1a8b9d160b9f0adad136cc42144222a2724132c8c96e72baef0a",
+    ('deg6', ''): "3d776e23c7e6b58befc0a7a14cb97ae8acf7143df869daf59f2f52c0e652d325",
+    ('deg6', '--json'): "85900091dcec8d8a92ad43c0ecf3650ea5a624b7c26336b202fb23732d0162c8",
+    ('deg6', '--point p1'): "727f9ba403bf1a8b9d160b9f0adad136cc42144222a2724132c8c96e72baef0a",
+    ('deg7', ''): "e2beb50ad32fa2dde10ce83043f1025b1af228d5898f5efe1bf7411fa4dcc2cd",
+    ('deg7', '--json'): "5bb1891109d2af0552b511204f9d08eadd65c0ddd2aee4b31b5cc8e854ffae5e",
+    ('deg7', '--point p1'): "d7e4f03302b7994444aff37c32c1195e9995e71f9f76dddf1999e8dad2d968bd",
+    ('deg8_F1', ''): "ca58a63b3e6b3f6c42e0c5cdf7d2efd6c4891a651d97fdf54876542a93901c91",
+    ('deg8_F1', '--json'): "92a77e0a8d78e46676517a6ec24f075a28c8447e1e3f7df9c2dd50b91c9b46b4",
+    ('deg8_F1', '--point p'): "ca58a63b3e6b3f6c42e0c5cdf7d2efd6c4891a651d97fdf54876542a93901c91",
+    ('deg8_quadric', ''): "c5359eea47ff8a57acbb43e5c329c7eb98673e63fe7e0b98fa3ee9bfee7da583",
+    ('deg8_quadric', '--json'): "a4d59ae420df8cbedfaf07d0a4c545e714c0bbd0428a1f82abb05da373c71388",
+    ('deg8_quadric', '--point p'): "c5359eea47ff8a57acbb43e5c329c7eb98673e63fe7e0b98fa3ee9bfee7da583",
+    ('deg9', ''): "bc2a96b99810dee8d2958f1f6e1fd60e8309408cc0efb494a43c742b4b51478d",
+    ('deg9', '--json'): "2de1661a8d5eab4a5959dce9e9ac238d073569ce6da352e6a56203d4a5f5ce1c",
+    ('chain1000', ''): "0c641479ca2117fdade8299a47b524f987974e69194dcbdcaf9d3ff8a6192c76",
+    ('chain1000', '--json'): "917576b7aadb883de33090fd086977c84bd4a389ca3a18525cd80388dee9bd21",
+    ('chain1000', '--point p0'): "0c641479ca2117fdade8299a47b524f987974e69194dcbdcaf9d3ff8a6192c76",
+}
+
+
+@pytest.mark.parametrize("label,text,flags", _lct_forms())
+def test_lct_stdout_is_pinned(label, text, flags, tmp_path, capsys):
+    path = tmp_path / f"{label}.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["lct", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LCT_DIGESTS[label, " ".join(flags)]

@@ -18,6 +18,7 @@ from delpezzo_lct import (
     InconsistentConfigError,
     LatticeError,
     WeightedCluster,
+    canonical_form,
     compile_configuration,
     is_log_canonical,
     lct_at_point,
@@ -148,6 +149,15 @@ class TestClusterValidation:
         )
         with pytest.raises(ClusterError, match="proximity inequality"):
             WeightedCluster(nodes, ("c",))
+
+    def test_proximity_inequality_names_the_first_component_in_order(self):
+        nodes = (
+            ClusterNode("n0", None, (), {"c": 1}),
+            ClusterNode("n1", "n0", ("n0",), {"b": 1, "a": 1}),
+        )
+        with pytest.raises(ClusterError) as exc:
+            WeightedCluster(nodes, ("a", "b", "c"))
+        assert str(exc.value) == "proximity inequality fails for 'a' at 'n0': 0 < 1"
 
     def test_parent_must_precede(self):
         nodes = (
@@ -863,3 +873,227 @@ def test_derived_configurations_do_not_revalidate_clusters(monkeypatch):
     assert sorted(c.coeff for c in twice.components) == [
         Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Canonical forms of long clusters
+
+
+def _recursive_canonical_form(cluster):
+    """The definition of `canonical_form`, one recursive call per node."""
+
+    def form(node):
+        chain = cluster._ancestors(node.id)
+        extra = tuple(sorted(chain.index(a) + 1 for a in node.proximate_to if a != node.parent))
+        mults = tuple(sorted((c, m) for c, m in node.mults.items() if m))
+        return (mults, extra, tuple(sorted(form(ch) for ch in cluster.children(node.id))))
+
+    return form(cluster.root)
+
+
+def _flat(form):
+    """A nested form as a flat preorder list, so that two deep forms compare
+    without Python's recursive tuple comparison."""
+    out, stack = [], [form]
+    while stack:
+        mults, extra, kids = stack.pop()
+        out.append((mults, extra, len(kids)))
+        stack.extend(reversed(kids))
+    return out
+
+
+def _spine_cluster(length, satellite):
+    """A chain of ``length`` points with a leaf on every third one and a
+    second leaf on every fifth.  Free chain: A through every chain point, B
+    through the first half.  Satellite chain: each point from the third on
+    is also proximate to its grandparent, and A passes through the root only."""
+    rows = []
+    for i in range(length):
+        parent = None if i == 0 else f"s{i - 1}"
+        prox = [] if i == 0 else [parent] + ([f"s{i - 2}"] if satellite and i >= 2 else [])
+        if satellite:
+            mults = {"A": 1} if i == 0 else {}
+        else:
+            mults = {"A": 1, "B": 1} if i < length // 2 else {"A": 1}
+        rows.append((f"s{i}", parent, prox, mults))
+        for leaf in ("x", "y") if i % 5 == 0 else ("x",) if i % 3 == 0 else ():
+            rows.append((f"{leaf}{i}", f"s{i}", [f"s{i}"], {}))
+            if leaf == "y":
+                rows.append((f"z{i}", f"y{i}", [f"y{i}"], {}))
+    return rows
+
+
+def _relabelled_shuffled(rows, rng):
+    """The same cluster listed breadth first with siblings shuffled and
+    every id replaced."""
+    kids = {}
+    for row in rows:
+        kids.setdefault(row[1], []).append(row)
+    new_id = {row[0]: f"q{i}" for i, row in enumerate(rng.sample(rows, len(rows)))}
+    order, queue = [], list(kids[None])
+    while queue:
+        row = queue.pop(0)
+        order.append(row)
+        children = kids.get(row[0], [])
+        rng.shuffle(children)
+        queue.extend(children)
+    return [
+        (new_id[nid], None if parent is None else new_id[parent], [new_id[a] for a in prox], mults)
+        for nid, parent, prox, mults in order
+    ]
+
+
+def _cluster_of(rows, comp_ids):
+    return WeightedCluster(tuple(ClusterNode(*row) for row in rows), comp_ids)
+
+
+@pytest.mark.parametrize("length,satellite", [(5000, False), (2000, True)], ids=["free", "satellite"])
+def test_canonical_form_of_a_long_chain_ignores_ids_and_sibling_order(length, satellite):
+    rows = _spine_cluster(length, satellite)
+    comp_ids = ("A",) if satellite else ("A", "B")
+    copy = _relabelled_shuffled(rows, random.Random(length))
+    form = _flat(canonical_form(_cluster_of(rows, comp_ids)))
+    assert len(form) == len(rows)
+    assert form == _flat(canonical_form(_cluster_of(copy, comp_ids)))
+    # Dropping the deepest leaf shows.
+    deepest = max((r for r in rows if r[0].startswith("x")), key=lambda r: int(r[0][1:]))
+    pruned = [r for r in rows if r is not deepest]
+    assert form != _flat(canonical_form(_cluster_of(pruned, comp_ids)))
+
+
+def test_canonical_form_matches_its_recursive_definition():
+    rng = random.Random("canonical-form")
+    for _ in range(300):
+        cfg = _random_point_config(rng)
+        for c in (cfg, transform_by_blowup(cfg, "p")):
+            for p in c.points:
+                cluster = c.cluster_at(p.id)
+                assert canonical_form(cluster) == _recursive_canonical_form(cluster)
+
+
+# ---------------------------------------------------------------------------
+# The threshold from the integer forms, against the materialised rows
+
+
+def _earliest_minimum(cert):
+    """(least value, earliest constraint attaining it) over the component
+    bounds, then the rows in listed order; (None, None) when none is active."""
+    candidates = [(b.bound, ("component", b.component)) for b in cert.component_bounds
+                  if b.bound is not None]
+    candidates += [(r.ratio, ("node", r.node)) for r in cert.rows if r.ratio is not None]
+    if not candidates:
+        return None, None
+    least = min(value for value, _ in candidates)
+    return least, next(who for value, who in candidates if value == least)
+
+
+def _threshold_cases():
+    from delpezzo_lct.glct import SCENARIOS, witness
+    from delpezzo_lct.properties import _config_from_cluster, _random_cluster
+
+    for sc in SCENARIOS:
+        yield witness(sc).config
+    rng = random.Random("threshold-oracle")
+    for point in _catalogue_points():
+        comps = tuple(
+            Component(c, DivisorClass(S9, (30 + i,)), Fraction(rng.randint(1, 9), rng.randint(1, 6)))
+            for i, c in enumerate(point.cluster.component_ids)
+        )
+        yield DivisorConfiguration(S9, comps, (point,))
+    for _ in range(200):
+        cluster = _random_cluster(rng, ("a", "b")[: rng.randint(1, 2)], ("c",), max_nodes=7)
+        coeffs = {c: Fraction(rng.randint(1, 6), rng.randint(2, 9)) for c in cluster.component_ids}
+        cfg = _config_from_cluster(cluster, coeffs)
+        yield cfg
+        lam = Fraction(rng.randint(1, 6), rng.randint(2, 12))
+        yield transform_by_blowup(scale_configuration(cfg, lam), "p")
+
+
+def test_threshold_is_the_earliest_least_constraint():
+    seen = signed = 0
+    for cfg in _threshold_cases():
+        signed += any(c.coeff <= 0 for c in cfg.components)
+        for scope in [None] + [p.id for p in cfg.points]:
+            cert = lct_global(cfg) if scope is None else lct_at_point(cfg, scope)
+            assert "rows" not in vars(cert)
+            assert (cert.lct, cert.minimizer) == _earliest_minimum(cert)
+            seen += 1
+        # The non-klt points at and above the threshold, by their definition.
+        lct = lct_global(cfg).lct
+        if lct is not None:
+            rows = _reference_rows(cfg)
+            for lam in (lct, lct * Fraction(3, 2)):
+                assert non_klt_locus(cfg, lam)[1] == frozenset(
+                    pid for pid, _, k, v, _ in rows if lam * v - k >= 1
+                )
+    assert seen > 1500 and signed > 40
+
+
+def _two_branch_cluster():
+    """Two cuspidal branches, one on each of a and b, with distinct tangents:
+    with coefficients 1 the rows n0, n2 and m2 all have ratio 1/2."""
+    return WeightedCluster(
+        (
+            ClusterNode("n0", None, (), {"a": 2, "b": 2}),
+            ClusterNode("n1", "n0", ("n0",), {"a": 1}),
+            ClusterNode("n2", "n1", ("n1", "n0"), {"a": 1}),
+            ClusterNode("m1", "n0", ("n0",), {"b": 1}),
+            ClusterNode("m2", "m1", ("m1", "n0"), {"b": 1}),
+        ),
+        ("a", "b"),
+    )
+
+
+def test_threshold_ties_go_to_the_earliest_constraint():
+    # A component bound equal to a row ratio: 1/1 = 2/(1 + 1) at a node.
+    node = plane_config(Germ.node(), {0: "a", 1: "a"}, coeffs={"a": Fraction(1, 2)})
+    assert (lct_global(node).lct, lct_global(node).minimizer) == (2, ("component", "a"))
+    two = plane_config(Germ.ordinary(2), {0: "a", 1: "b"})
+    assert (lct_global(two).lct, lct_global(two).minimizer) == (1, ("component", "a"))
+    # Three rows of one point with equal least ratio: the first listed.
+    cfg = DivisorConfiguration(S9, (_comp("a"), _comp("b", cls=DivisorClass(S9, (6,)))),
+                               (ConfigPoint("p", _two_branch_cluster()),))
+    cert = lct_global(cfg)
+    assert [r.node for r in cert.rows if r.ratio == Fraction(1, 2)] == ["p.n0", "p.n2", "p.m2"]
+    assert (cert.lct, cert.minimizer) == (Fraction(1, 2), ("node", "p.n0"))
+    # Equal rows at two points: the first point's.
+    cusps = DivisorConfiguration(
+        S9, (_comp("c"),),
+        tuple(ConfigPoint(pid, Germ.cusp(), (Incidence("c", 0),)) for pid in ("p", "q")),
+    )
+    assert (lct_global(cusps).lct, lct_global(cusps).minimizer) == (Fraction(5, 6), ("node", "p.n2"))
+    assert lct_at_point(cusps, "q").minimizer == ("node", "q.n2")
+
+
+def test_certificates_differing_only_in_rows_differ():
+    cusp = plane_config(Germ.cusp(), {0: "c"})
+    nodes = tuple(cusp.cluster_at("p").nodes) + (ClusterNode("n3", "n0", ("n0",), {}),)
+    longer = DivisorConfiguration(cusp.surface, cusp.components,
+                                  (ConfigPoint("p", WeightedCluster(nodes, ("c",))),))
+    a, b = lct_global(cusp), lct_global(longer)
+    assert (a.lct, a.minimizer, a.component_bounds) == (b.lct, b.minimizer, b.component_bounds)
+    assert len(b.rows) == len(a.rows) + 1
+    assert a != b and repr(a) != repr(b)
+    again = lct_global(plane_config(Germ.cusp(), {0: "c"}))
+    assert again == a and hash(again) == hash(a) and repr(again) == repr(a)
+    assert repr(a) == (
+        f"LctCertificate(lct={a.lct!r}, minimizer={a.minimizer!r}, rows={a.rows!r}, "
+        f"component_bounds={a.component_bounds!r})"
+    )
+
+
+def test_a_certificate_makes_no_reference_cycle():
+    import gc
+
+    gc.collect()
+    cfg = explicit_config(_two_branch_cluster().nodes, ("a", "b"), {"a": ONE, "b": Fraction(1, 3)})
+    cert = lct_global(cfg)
+    assert cert.rows and lct_at_point(cfg, "p").rows
+    is_log_canonical(with_coefficients(cfg, {"a": Fraction(2)}), Fraction(1, 2))
+    del cfg, cert
+    assert gc.collect() == 0
+
+
+def test_a_proximity_must_be_a_node_id():
+    with pytest.raises(ClusterError, match=r"proximity of 'n1' must be a node id, got \{\}"):
+        ClusterNode("n1", "n0", ["n0", {}], {})

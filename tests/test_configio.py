@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from delpezzo_lct import InconsistentConfigError, lct_global
+from delpezzo_lct import ClusterError, InconsistentConfigError, lct_global
 from delpezzo_lct.configio import (
     ConfigSchemaError,
     ConfigSyntaxError,
@@ -161,3 +161,60 @@ def test_empty_configuration_certificate_is_infinite():
     rendered = certificate_to_json_obj(cert)
     assert (rendered["lct"], rendered["minimizer"], rendered["rows"]) == ("inf", None, [])
     assert certificate_to_text(cert) == "lct = inf\nminimizer = none"
+
+
+def _two_node_obj(**second):
+    obj = minimal_obj()
+    node = {"id": "n1", "parent": "n0", "proximate_to": ["n0"], "mults": {"C": 1}}
+    node.update(second)
+    obj["points"] = [{"id": "p", "germ": {"nodes": [
+        {"id": "n0", "parent": None, "proximate_to": [], "mults": {"C": 2}}, node]}}]
+    return obj
+
+
+NODE_PATH = "$.points[0].germ.nodes[1]"
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [
+        ({"id": 1}, f"invalid config at {NODE_PATH}.id: expected str, got int"),
+        ({"parent": ["n0"]}, f"invalid config at {NODE_PATH}.parent: expected str, got list"),
+        ({"proximate_to": "n0"}, f"invalid config at {NODE_PATH}.proximate_to: expected list, got str"),
+        ({"proximate_to": ["n0", {}]}, f"invalid config at {NODE_PATH}.proximate_to[1]: expected str, got dict"),
+        ({"proximate_to": [0]}, f"invalid config at {NODE_PATH}.proximate_to[0]: expected str, got int"),
+        ({"mults": [1]}, f"invalid config at {NODE_PATH}.mults: expected dict, got list"),
+        ({"mults": {"C": 1.0}}, f"invalid config at {NODE_PATH}.mults.C: expected int, got float"),
+        ({"id": 1, "mults": {"C": 1.0}}, f"invalid config at {NODE_PATH}.id: expected str, got int"),
+    ],
+    ids=["id", "parent", "proximities", "proximity_object", "proximity_number", "mults", "mult",
+         "first_fault"],
+)
+def test_cluster_node_faults_are_named_by_path(second, message):
+    with pytest.raises(ConfigSchemaError) as exc:
+        config_from_json_obj(_two_node_obj(**second))
+    assert str(exc.value) == message
+
+
+def test_a_node_that_is_no_object_is_named_by_path():
+    obj = _two_node_obj()
+    obj["points"][0]["germ"]["nodes"][1] = ["n1"]
+    with pytest.raises(ConfigSchemaError) as exc:
+        config_from_json_obj(obj)
+    assert str(exc.value) == f"invalid config at {NODE_PATH}: expected dict, got list"
+
+
+def test_a_negative_multiplicity_is_the_cluster_check():
+    with pytest.raises(ClusterError) as exc:
+        config_from_json_obj(_two_node_obj(mults={"C": -1}))
+    assert not isinstance(exc.value, ConfigSchemaError)
+    assert str(exc.value) == "multiplicity of 'C' at 'n1' must be a nonnegative integer"
+
+
+def test_cluster_components_keep_their_order_of_first_mention():
+    obj = _two_node_obj(mults={"D": 0, "C": 1})
+    obj["components"].append({"id": "D", "class": [7], "coeff": "1/2"})
+    cfg = config_from_json_obj(obj)
+    assert cfg.cluster_at("p").component_ids == ("C", "D")
+    obj["points"][0]["germ"]["nodes"][0]["mults"] = {"D": 1, "C": 2}
+    assert config_from_json_obj(obj).cluster_at("p").component_ids == ("D", "C")
